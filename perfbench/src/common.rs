@@ -41,13 +41,12 @@ pub fn repeated_setup<T>(
     last.expect("at least one set-up")
 }
 
-/// Hours of history each `retrain` model trains on.
-pub const TRAIN_HOURS: f64 = 12.0;
-/// Hours of history of the model `online_placement` and
-/// `faulted_placement` train in set-up: half of `retrain`'s, so that the
-/// set-ups and the measured passes fit a run of well under a minute on two
-/// cores.
-pub const SETUP_TRAIN_HOURS: f64 = 6.0;
+/// Hours of history every category model the benchmark trains itself
+/// learns from (`retrain`'s models and the set-up model of
+/// `online_placement` and `faulted_placement`): short enough that a run,
+/// with its set-ups and at least [`MIN_PASSES`] measured passes, stays well
+/// under a minute on two cores.
+pub const TRAIN_HOURS: f64 = 6.0;
 /// Importance categories (paper default).
 pub const NUM_CATEGORIES: usize = 15;
 /// Boosting rounds of every category model.
@@ -58,7 +57,7 @@ pub const GBDT_TREES: usize = 50;
 pub struct Run {
     /// Seed every input is derived from.
     pub seed: u64,
-    /// Seconds of measured passes (at least one pass always runs).
+    /// Seconds of measured passes (at least [`MIN_PASSES`] always run).
     pub seconds: f64,
     /// Whether this is the traced run.
     pub trace: bool,
@@ -128,11 +127,15 @@ pub fn generate(rec: Option<&Recorder>, seed: u64, spec: &ClusterSpec, hours: f6
     })
 }
 
-/// Run passes until `seconds` have elapsed; at least one.
+/// Fewest measured passes of an untraced run, so that the check that passes
+/// repeat bit for bit always compares at least two, however long a pass is.
+pub const MIN_PASSES: usize = 2;
+
+/// Run passes until `seconds` have elapsed, and at least [`MIN_PASSES`].
 pub fn for_seconds<T>(seconds: f64, mut pass: impl FnMut(usize) -> T) -> Vec<T> {
     let start = Instant::now();
     let mut out = Vec::new();
-    while out.is_empty() || start.elapsed().as_secs_f64() < seconds {
+    while out.len() < MIN_PASSES || start.elapsed().as_secs_f64() < seconds {
         out.push(pass(out.len()));
     }
     out
@@ -365,7 +368,6 @@ pub fn per_layer(
     out.set("gbdt.predict_p50_us", p50_us(predict));
     let place_self = spans::self_ns_of(&pass_spans, "core.place");
     out.set("core.place_calls", place_self.len() as f64 / k);
-    out.set("place.samples", place_self.len() as f64 / k);
     out.set("core.place_self_p50_us", p50_us(place_self));
     out.set(
         "trace.encode_rows",
@@ -400,6 +402,7 @@ pub fn per_layer(
 
     let mut scratch = Checks::default();
     let before = untraced.timing_metrics(&mut scratch);
+    out.set("place.samples", untraced.place_ns.len() as f64);
     out.set("place.p999_us", before["place_p999_us"]);
     let after = traced.timing_metrics(&mut scratch);
     for name in OVERHEAD_OF {

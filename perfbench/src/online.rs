@@ -5,7 +5,7 @@
 use crate::common::{
     alternate, check_replay, check_same, cost_model, count_replay, derive_seed, digest_model,
     digest_result, end_to_end, for_seconds, generate, per_layer, pipeline, repeated_setup, span,
-    stream, timed, LayerRun, Run, SETUP_TRAIN_HOURS,
+    stream, timed, LayerRun, Run, TRAIN_HOURS,
 };
 use crate::placement::{replay, Probe, TracedModel};
 use crate::report::{Checks, Measure, Outcome};
@@ -42,7 +42,7 @@ fn setup(run: &Run, rec: Option<&Recorder>, quotas: &[f64], m: &mut Measure) -> 
             rec,
             derive_seed(run.seed, stream::TRAIN),
             &spec,
-            SETUP_TRAIN_HOURS,
+            TRAIN_HOURS,
         );
         let test = generate(rec, derive_seed(run.seed, stream::TEST), &spec, TEST_HOURS);
         let cm = cost_model();
@@ -347,6 +347,10 @@ pub fn faulted(run: &Run) -> Outcome {
             faulted_pass(&s, &plan, s.trained.model().clone(), None, &mut m)
         });
         check_ladder(&mut out.checks, &runs);
+        let public = byom_chaos::run_ladder(&s.trained, &s.sims[0], &s.test, &plan);
+        out.checks.check(runs[0].result == public, || {
+            "rebuilt ladder replay differs from byom_chaos::run_ladder".into()
+        });
         let tco = runs[0].result.tco_savings_percent();
         let top1 = top1(&s, &mut out.checks);
         end_to_end(&mut out, m, top1, tco);

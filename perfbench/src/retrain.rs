@@ -1,4 +1,4 @@
-//! `retrain`: three clusters each train their own category model on a 12 h
+//! `retrain`: three clusters each train their own category model on a 6 h
 //! history, score it on a 6 h held-out trace, and redeploy it on that trace.
 
 use crate::common::{
