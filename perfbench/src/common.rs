@@ -1,5 +1,6 @@
 //! Settings, seeds and helpers shared by the workloads.
 
+use crate::reference;
 use crate::report::{Checks, Measure, Outcome, LAYERS, OVERHEAD_OF};
 use crate::spans::{self, Recorder};
 use crate::stats;
@@ -33,10 +34,12 @@ pub fn repeated_setup<T>(
     let mut last = None;
     while digests.len() < SETUP_REPS || start.elapsed().as_secs_f64() < SETUP_SECONDS {
         drop(last.take());
+        reference::sample_on(1, reference::BOUNDARY_SLICES);
         let s = setup();
         digests.push(digest(&s));
         last = Some(s);
     }
+    reference::sample_on(1, reference::BOUNDARY_SLICES);
     check_same(checks, "set-up", &digests);
     last.expect("at least one set-up")
 }
@@ -113,11 +116,14 @@ pub fn span<R>(rec: Option<&Recorder>, name: &'static str, f: impl FnOnce() -> R
     }
 }
 
-/// `f`'s result and its wall time in seconds.
+/// `f`'s result and its wall time in seconds, less the time of any
+/// host-speed reference slices taken meanwhile.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let reference_s = reference::spent_secs();
     let start = Instant::now();
     let out = f();
-    (out, start.elapsed().as_secs_f64())
+    let secs = start.elapsed().as_secs_f64();
+    (out, secs - (reference::spent_secs() - reference_s))
 }
 
 /// Generate `hours` of `spec` from `seed`.
@@ -136,8 +142,10 @@ pub fn for_seconds<T>(seconds: f64, mut pass: impl FnMut(usize) -> T) -> Vec<T> 
     let start = Instant::now();
     let mut out = Vec::new();
     while out.len() < MIN_PASSES || start.elapsed().as_secs_f64() < seconds {
+        reference::sample_on(1, reference::BOUNDARY_SLICES);
         out.push(pass(out.len()));
     }
+    reference::sample_on(1, reference::BOUNDARY_SLICES);
     out
 }
 
@@ -205,15 +213,41 @@ pub fn check_same(checks: &mut Checks, what: &str, digests: &[u64]) {
     }
 }
 
-/// Fill the end-to-end metrics of an untraced run. `tco` is the paper
-/// method's TCO savings at the workload's tightest quota; it is printed but
-/// is not an end-to-end metric (see `perfbench/README.md`).
+/// Fill the end-to-end metrics of an untraced run. Timings are scaled to
+/// the reference host speed (see [`reference`]); the raw ones are noted on
+/// stderr. `tco` is the paper method's TCO savings at the workload's
+/// tightest quota; it is printed but is not an end-to-end metric (see
+/// `perfbench/README.md`).
 pub fn end_to_end(out: &mut Outcome, m: Measure, top1: f64, tco: f64) {
     let n = m.place_ns.len();
-    let timing = m.timing_metrics(&mut out.checks);
+    let raw = m.timing_metrics(&mut out.checks);
+    let (factor, slices) = reference::factor();
+    check_factor(&mut out.checks, factor, slices);
+    // Times shrink and rates grow by the factor; each training is scaled
+    // by the factor measured around it.
+    let timing: BTreeMap<&str, f64> = raw
+        .iter()
+        .map(|(&name, &v)| {
+            let scaled = match name {
+                "train_jobs_per_s" => stats::median(&m.scaled_train_jobs_per_s),
+                "placements_per_s" => v * factor,
+                _ => v / factor,
+            };
+            (name, scaled)
+        })
+        .collect();
     for (name, v) in &timing {
         out.set(*name, *v);
     }
+    out.notes.push(format!(
+        "host speed factor {factor:.4} (median of {slices} reference slices / {} ns); \
+         raw timings: {}",
+        reference::NOMINAL_SLICE_NS,
+        raw.iter()
+            .map(|(name, v)| format!("{name} {v:.6}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
     out.set("top1_accuracy", top1);
     out.set("peak_rss_mb", crate::procfs::peak_rss_mb());
     out.notes.push(format!(
@@ -223,13 +257,27 @@ pub fn end_to_end(out: &mut Outcome, m: Measure, top1: f64, tco: f64) {
     out.notes.push(format!(
         "place_p50_us over {n} decisions (highest percentile with >= {} beyond: p{q}); \
          tails are medians over {} blocks of >= {} consecutive decisions: \
-         p99 {:.3} us, p99.9 {:.3} us",
+         p90 {:.3} us, p99 {:.3} us, p99.9 {:.3} us",
         stats::MIN_BEYOND,
         n / stats::BLOCK,
         stats::BLOCK,
+        timing["place_p90_us"],
         timing["place_p99_us"],
         timing["place_p999_us"],
     ));
+}
+
+/// The speed factor rests on enough slices and is a plausible speed.
+fn check_factor(checks: &mut Checks, factor: f64, slices: usize) {
+    checks.check(slices >= reference::MIN_SLICES, || {
+        format!(
+            "{slices} reference slices, fewer than {}",
+            reference::MIN_SLICES
+        )
+    });
+    checks.check(factor.is_finite() && factor > 0.0, || {
+        format!("host speed factor {factor}")
+    });
 }
 
 /// The per-layer state of a traced run, filled by the workload.
@@ -403,6 +451,7 @@ pub fn per_layer(
     let mut scratch = Checks::default();
     let before = untraced.timing_metrics(&mut scratch);
     out.set("place.samples", untraced.place_ns.len() as f64);
+    out.set("place.p99_us", before["place_p99_us"]);
     out.set("place.p999_us", before["place_p999_us"]);
     let after = traced.timing_metrics(&mut scratch);
     for name in OVERHEAD_OF {

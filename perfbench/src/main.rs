@@ -17,6 +17,7 @@ mod common;
 mod online;
 mod placement;
 mod procfs;
+mod reference;
 mod report;
 mod retrain;
 mod spans;
@@ -101,6 +102,9 @@ fn main() {
         "perfbench {workload}: seed {} seconds {} trace {} threads {} nproc {nproc}",
         run.seed, run.seconds, run.trace as u8, run.threads
     );
+    if !run.trace {
+        reference::enable();
+    }
     let outcome = body(&run);
     let ok = if run.trace {
         outcome.emit(&per_layer_catalog(), false)

@@ -8,6 +8,7 @@ use crate::common::{
     stream, timed, LayerRun, Run, TRAIN_HOURS,
 };
 use crate::placement::{replay, Probe, TracedModel};
+use crate::reference;
 use crate::report::{Checks, Measure, Outcome};
 use crate::spans::{self, Recorder};
 use byom_chaos::{apply_trace_faults, FaultPlan, FaultyCategorizer, FaultyDevice};
@@ -49,16 +50,18 @@ fn setup(run: &Run, rec: Option<&Recorder>, quotas: &[f64], m: &mut Measure) -> 
         // Trained on one thread, the workload's whole budget: a two-thread
         // training also times how busy the machine's other core is, which
         // varied far more between runs than anything single-threaded.
-        let (trained, train_s) = timed(|| {
-            span(rec, "core.train", || {
-                byom_exec::install(1, || {
-                    pipeline()
-                        .train(&train, &cm)
-                        .expect("training on a generated trace succeeds")
+        let ((trained, train_s), speed) = reference::around(1, || {
+            timed(|| {
+                span(rec, "core.train", || {
+                    byom_exec::install(1, || {
+                        pipeline()
+                            .train(&train, &cm)
+                            .expect("training on a generated trace succeeds")
+                    })
                 })
             })
         });
-        m.train_jobs_per_s.push(train.len() as f64 / train_s);
+        m.train(train.len(), train_s, train_s / speed);
         let sims = quotas
             .iter()
             .map(|&q| {

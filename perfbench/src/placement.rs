@@ -7,6 +7,7 @@
 //! then GBDT inference), each in its own span.
 
 use crate::common::{sim_span, span};
+use crate::reference;
 use crate::spans::Recorder;
 use byom_core::Categorizer;
 use byom_cost::JobCost;
@@ -18,12 +19,15 @@ use byom_trace::{FeatureEncoder, ShuffleJob, Trace};
 use std::time::Instant;
 
 /// A policy whose `place` calls are timed: as `core.place` spans when a
-/// recorder is given, otherwise into `samples_ns` when that is given.
+/// recorder is given, otherwise into `samples_ns` when that is given. Timed
+/// into `samples_ns`, every [`reference::EVERY_DECISIONS`]th decision is
+/// preceded, outside its timing, by a host-speed reference slice.
 pub struct Probe<'a, P> {
     /// The wrapped policy.
     pub inner: P,
     samples_ns: Option<&'a mut Vec<u64>>,
     rec: Option<&'a Recorder>,
+    decisions: usize,
 }
 
 impl<'a, P: PlacementPolicy> Probe<'a, P> {
@@ -33,6 +37,7 @@ impl<'a, P: PlacementPolicy> Probe<'a, P> {
             inner,
             samples_ns,
             rec,
+            decisions: 0,
         }
     }
 }
@@ -46,6 +51,12 @@ impl<P: PlacementPolicy> PlacementPolicy for Probe<'_, P> {
         let inner = &mut self.inner;
         if let Some(rec) = self.rec {
             return rec.span("core.place", || inner.place(job, cost, state));
+        }
+        if self.samples_ns.is_some() {
+            if self.decisions % reference::EVERY_DECISIONS == 0 {
+                reference::sample_on(1, 1);
+            }
+            self.decisions += 1;
         }
         let start = Instant::now();
         let device = inner.place(job, cost, state);

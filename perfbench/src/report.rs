@@ -1,6 +1,6 @@
 //! Metric catalogs, output checks, and the result line.
 
-use crate::stats::{self, P99, P999};
+use crate::stats::{self, P90, P99, P999};
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -11,7 +11,7 @@ pub const END_TO_END: [(&str, &str); 8] = [
     ("train_jobs_per_s", "1/s"),
     ("top1_accuracy", "ratio"),
     ("place_p50_us", "us"),
-    ("place_p99_us", "us"),
+    ("place_p90_us", "us"),
     ("placements_per_s", "1/s"),
     ("peak_rss_mb", "MB"),
 ];
@@ -29,13 +29,13 @@ pub const OVERHEAD_OF: [&str; 6] = [
     "pass_s",
     "train_jobs_per_s",
     "place_p50_us",
-    "place_p99_us",
+    "place_p90_us",
     "placements_per_s",
 ];
 
 /// Per-layer metrics other than `self_s.*` and `overhead.*`, printed by every
 /// traced run: `(name, unit)`. A layer a workload does not call reads 0.
-pub const PER_LAYER: [(&str, &str); 53] = [
+pub const PER_LAYER: [(&str, &str); 54] = [
     ("trace.generate_s", "s"),
     ("trace.jobs", "count"),
     ("trace.cache_hit_ratio", "ratio"),
@@ -87,6 +87,7 @@ pub const PER_LAYER: [(&str, &str); 53] = [
     ("ladder.demotions", "count"),
     ("ladder.promotions", "count"),
     ("place.samples", "count"),
+    ("place.p99_us", "us"),
     ("place.p999_us", "us"),
     ("quality.tco_savings_pct", "%"),
 ];
@@ -133,8 +134,13 @@ pub struct Measure {
     pub setup_s: Vec<f64>,
     /// Wall time of each measured pass.
     pub pass_s: Vec<f64>,
-    /// Training-trace jobs per second of each category-model training.
+    /// Training-trace jobs per second of category-model training, one
+    /// value per set-up or pass.
     pub train_jobs_per_s: Vec<f64>,
+    /// The same rates with each training's time scaled to the reference
+    /// host speed by the factor measured around it (see
+    /// [`crate::reference::around`]).
+    pub scaled_train_jobs_per_s: Vec<f64>,
     /// Wall time of every timed placement decision.
     pub place_ns: Vec<u64>,
     /// Placements per second of replay wall time, one value per pass.
@@ -142,13 +148,21 @@ pub struct Measure {
 }
 
 impl Measure {
+    /// Record trainings on `jobs` jobs in all that took `secs`, or
+    /// `scaled_secs` at the reference host speed.
+    pub fn train(&mut self, jobs: usize, secs: f64, scaled_secs: f64) {
+        self.train_jobs_per_s.push(jobs as f64 / secs);
+        self.scaled_train_jobs_per_s.push(jobs as f64 / scaled_secs);
+    }
+
     /// The timing metrics: medians over set-ups and passes, the median of
     /// all placement decisions, and the median over blocks of
-    /// [`stats::BLOCK`] consecutive decisions of each block's p99 and p99.9.
+    /// [`stats::BLOCK`] consecutive decisions of each block's p90, p99 and
+    /// p99.9.
     pub fn timing_metrics(&self, checks: &mut Checks) -> BTreeMap<&'static str, f64> {
         let n = self.place_ns.len();
         let tail = |q| stats::block_percentile(&self.place_ns, stats::BLOCK, q);
-        let (p99, p999) = (tail(P99), tail(P999));
+        let (p90, p99, p999) = (tail(P90), tail(P99), tail(P999));
         checks.check(p999.is_some(), || {
             format!("a block p99.9 needs >= {} decisions, got {n}", stats::BLOCK)
         });
@@ -164,6 +178,7 @@ impl Measure {
             ("pass_s", stats::median(&self.pass_s)),
             ("train_jobs_per_s", stats::median(&self.train_jobs_per_s)),
             ("place_p50_us", p50 / 1e3),
+            ("place_p90_us", p90.map_or(0.0, |(t, _)| t / 1e3)),
             ("place_p99_us", p99.map_or(0.0, |(t, _)| t / 1e3)),
             ("place_p999_us", p999.map_or(0.0, |(t, _)| t / 1e3)),
             ("placements_per_s", stats::median(&self.placements_per_s)),

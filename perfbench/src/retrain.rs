@@ -7,6 +7,7 @@ use crate::common::{
     pipeline, repeated_setup, stream, timed, LayerRun, Run, NUM_CATEGORIES, TRAIN_HOURS,
 };
 use crate::placement::{argmax, replay, TracedModel};
+use crate::reference;
 use crate::report::{Checks, Measure, Outcome};
 use crate::spans::{self, Recorder};
 use crate::stats;
@@ -82,18 +83,23 @@ fn public_pass(run: &Run, clusters: &[Cluster], m: &mut Measure) -> Vec<Retraine
     let cm = cost_model();
     let mut replay_s = 0.0;
     let mut placements = 0;
+    let (mut train_jobs, mut train_secs, mut scaled_train_secs) = (0, 0.0, 0.0);
     let (out, secs) = timed(|| {
         clusters
             .iter()
             .map(|c| {
-                let (trained, train_s) = timed(|| {
-                    byom_exec::install(run.threads, || {
-                        pipeline()
-                            .train(&c.train, &cm)
-                            .expect("training on a generated trace succeeds")
+                let ((trained, train_s), speed) = reference::around(run.threads, || {
+                    timed(|| {
+                        byom_exec::install(run.threads, || {
+                            pipeline()
+                                .train(&c.train, &cm)
+                                .expect("training on a generated trace succeeds")
+                        })
                     })
                 });
-                m.train_jobs_per_s.push(c.train.len() as f64 / train_s);
+                train_jobs += c.train.len();
+                train_secs += train_s;
+                scaled_train_secs += train_s / speed;
                 let costs = cm.cost_trace(&c.heldout);
                 let eval = trained
                     .model()
@@ -122,6 +128,7 @@ fn public_pass(run: &Run, clusters: &[Cluster], m: &mut Measure) -> Vec<Retraine
             .collect()
     });
     m.pass_s.push(secs);
+    m.train(train_jobs, train_secs, scaled_train_secs);
     m.placements_per_s.push(placements as f64 / replay_s);
     out
 }
@@ -146,6 +153,7 @@ fn traced_pass(
     };
     let mut replay_s = 0.0;
     let mut placements = 0;
+    let (mut train_jobs, mut train_secs) = (0, 0.0);
     let (out, secs) = timed(|| {
         clusters
             .iter()
@@ -196,7 +204,8 @@ fn traced_pass(
                         })
                     })
                 });
-                m.train_jobs_per_s.push(c.train.len() as f64 / train_s);
+                train_jobs += c.train.len();
+                train_secs += train_s;
 
                 let scorer = TracedModel::from_parts(config.encoder, &model, rec);
                 let costs = rec.span("cost.cost_trace", || cm.cost_trace(&c.heldout));
@@ -245,6 +254,7 @@ fn traced_pass(
             .collect()
     });
     m.pass_s.push(secs);
+    m.train(train_jobs, train_secs, train_secs);
     m.placements_per_s.push(placements as f64 / replay_s);
     out
 }

@@ -11,6 +11,8 @@ pub const MIN_BEYOND: usize = 10;
 /// Percentiles the benchmark may report, in parts per 10,000 (p50 … p99.99).
 pub const LADDER: [u32; 5] = [5_000, 9_000, 9_900, 9_990, 9_999];
 
+/// The p90 entry of [`LADDER`].
+pub const P90: u32 = 9_000;
 /// The p99 entry of [`LADDER`].
 pub const P99: u32 = 9_900;
 /// The p99.9 entry of [`LADDER`].

@@ -7,6 +7,7 @@ use crate::common::{
     LayerRun, Run,
 };
 use crate::placement::{replay, TracedModel};
+use crate::reference;
 use crate::report::{Checks, Measure, Outcome};
 use crate::spans::Recorder;
 use byom_bench::{run_quotas_parallel, ExperimentContext, ExperimentParams, MethodResult};
@@ -25,7 +26,7 @@ const QUOTAS: [f64; 4] = [0.01, 0.05, 0.2, 0.6];
 
 /// Timed Adaptive Ranking replays per quota and pass: the 6 h test trace
 /// is short, and two rounds give each run enough blocks of decisions for a
-/// steady p99.
+/// steady tail.
 const REPLAY_ROUNDS: usize = 2;
 
 /// Boosting rounds of the sweep's category model. `prepare` trains with
@@ -83,9 +84,11 @@ fn setup(
             .sum::<usize>()
         });
         let cached = cached_trace_count();
-        let (ctx, prepare_s) = timed(|| {
-            span(rec, "harness.prepare", || {
-                ExperimentContext::prepare(spec.clone(), params)
+        let ((ctx, prepare_s), speed) = reference::around(run.threads, || {
+            timed(|| {
+                span(rec, "harness.prepare", || {
+                    ExperimentContext::prepare(spec.clone(), params)
+                })
             })
         });
         // `prepare` asks the cache for its two traces; any it had to
@@ -96,7 +99,7 @@ fn setup(
             "trace.cache_hit_ratio",
             (2.0 - generated as f64).max(0.0) / 2.0,
         );
-        m.train_jobs_per_s.push(ctx.train.len() as f64 / prepare_s);
+        m.train(ctx.train.len(), prepare_s, prepare_s / speed);
         ctx
     });
     m.setup_s.push(secs);
@@ -140,7 +143,9 @@ fn ranking_replays<P: PlacementPolicy>(
 /// The public sweep, then the timed Adaptive Ranking replays.
 fn public_pass(run: &Run, ctx: &ExperimentContext, m: &mut Measure) -> Sweep {
     let (sweep, secs) = timed(|| {
+        reference::sample_on(run.threads, reference::BOUNDARY_SLICES);
         let rows = run_quotas_parallel(ctx, &QUOTAS, true, run.threads);
+        reference::sample_on(run.threads, reference::BOUNDARY_SLICES);
         let ranking = ranking_replays(ctx, || ctx.trained.adaptive_ranking_policy(), None, m);
         Sweep { rows, ranking }
     });
