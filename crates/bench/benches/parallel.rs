@@ -53,13 +53,14 @@ fn bench_gbdt_training(c: &mut Criterion) {
         TraceGenerator::new(params.train_seed).generate_cached(&spec, params.train_hours * 3600.0);
     let cost_model = CostModel::new(CostRates::default());
     let train_with = |threads: usize| {
-        ByomPipeline::builder()
-            .num_categories(params.num_categories)
-            .gbdt_trees(params.gbdt_trees)
-            .parallelism(threads)
-            .build()
-            .train(&train, &cost_model)
-            .expect("training succeeds")
+        byom_exec::install(threads, || {
+            ByomPipeline::builder()
+                .num_categories(params.num_categories)
+                .gbdt_trees(params.gbdt_trees)
+                .build()
+                .train(&train, &cost_model)
+                .expect("training succeeds")
+        })
     };
 
     let mut group = c.benchmark_group("gbdt_training_50_trees");

@@ -7,19 +7,21 @@
 //!
 //! * `legacy_row_major` — the pre-engine fit: row-major bins, every node
 //!   rebuilds its histograms from its rows;
-//! * `engine_rebuild` — column-major bins + histogram pool, rebuild mode
-//!   (bit-identical trees to legacy);
-//! * `engine_subtraction` — the default mode: build the smaller child,
-//!   derive the sibling as `parent − child`;
-//! * `engine_subtraction_parallel` — subtraction with column-parallel
-//!   histogram fills on all cores.
+//! * `engine_subtraction` — `Tree::fit` under `byom_exec::install(1, ..)`:
+//!   column-major bins, histogram pool, build the smaller child and derive
+//!   the sibling as `parent − child`;
+//! * `engine_subtraction_parallel` — the same fit under
+//!   `byom_exec::install(0, ..)`, with column-parallel histogram fills on
+//!   the ambient budget (all cores unless `BYOM_THREADS` says otherwise).
 //!
-//! The acceptance target is >= 2x single-thread throughput for subtraction
-//! mode over the legacy baseline. Set `BYOM_BENCH_QUICK=1` to shrink the
+//! The engine rows include score harvesting: `Tree::fit` also records the
+//! leaf value of every row, which the legacy fit does not. The acceptance
+//! target is >= 2x single-thread throughput for the engine over the legacy
+//! baseline. Set `BYOM_BENCH_QUICK=1` to shrink the
 //! workload for a fast smoke run.
 
 use byom_bench::legacy_tree;
-use byom_gbdt::{BinMapper, Dataset, HistogramMode, Tree, TreeParams};
+use byom_gbdt::{BinMapper, Dataset, Tree, TreeParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
@@ -87,26 +89,17 @@ fn bench_tree_fit(c: &mut Criterion) {
             params,
         )
     };
-    let engine = |mode: HistogramMode, parallelism: usize| {
-        let p = TreeParams {
-            histogram_mode: mode,
-            ..params
-        };
-        Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, p, parallelism)
+    let engine = |threads: usize| {
+        byom_exec::install(threads, || {
+            Tree::fit(&binned, &mapper, &grad, &hess, &rows, params)
+        })
     };
 
     let mut group = c.benchmark_group("tree_fit_depth6");
     group.sample_size(10);
     group.bench_function("legacy_row_major", |b| b.iter(legacy));
-    group.bench_function("engine_rebuild", |b| {
-        b.iter(|| engine(HistogramMode::Rebuild, 1))
-    });
-    group.bench_function("engine_subtraction", |b| {
-        b.iter(|| engine(HistogramMode::Subtraction, 1))
-    });
-    group.bench_function("engine_subtraction_parallel", |b| {
-        b.iter(|| engine(HistogramMode::Subtraction, 0))
-    });
+    group.bench_function("engine_subtraction", |b| b.iter(|| engine(1)));
+    group.bench_function("engine_subtraction_parallel", |b| b.iter(|| engine(0)));
     group.finish();
 
     // Median-of-3 single-shot timings for the printed speedup summary.
@@ -118,24 +111,18 @@ fn bench_tree_fit(c: &mut Criterion) {
     let t_legacy = median(&|| {
         legacy();
     });
-    let t_rebuild = median(&|| {
-        engine(HistogramMode::Rebuild, 1);
-    });
     let t_sub = median(&|| {
-        engine(HistogramMode::Subtraction, 1);
+        engine(1);
     });
     let t_sub_par = median(&|| {
-        engine(HistogramMode::Subtraction, 0);
+        engine(0);
     });
     println!(
         "tree_fit_depth6 ({num_rows} rows x {num_features} features, 64 bins):\n\
          \x20 legacy_row_major            {:.1} ms\n\
-         \x20 engine_rebuild              {:.1} ms ({:.2}x vs legacy)\n\
          \x20 engine_subtraction          {:.1} ms ({:.2}x vs legacy, target >= 2x)\n\
          \x20 engine_subtraction_parallel {:.1} ms ({:.2}x vs legacy, {} cores)\n",
         t_legacy * 1e3,
-        t_rebuild * 1e3,
-        t_legacy / t_rebuild.max(1e-9),
         t_sub * 1e3,
         t_legacy / t_sub.max(1e-9),
         t_sub_par * 1e3,

@@ -35,7 +35,6 @@ fn main() {
         ByomPipeline::builder()
             .num_categories(params.num_categories)
             .gbdt_trees(params.gbdt_trees)
-            .parallelism(params.parallelism)
             .build()
             .train(&train, &ctx.cost_model)
             .expect("training succeeds")

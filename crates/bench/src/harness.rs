@@ -112,7 +112,6 @@ impl ExperimentContext {
             let trained = ByomPipeline::builder()
                 .num_categories(params.num_categories)
                 .gbdt_trees(params.gbdt_trees)
-                .parallelism(params.parallelism)
                 .build()
                 .train(&train, &cost_model)
                 .expect("training the category model on a generated trace should succeed");

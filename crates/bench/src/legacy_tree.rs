@@ -6,9 +6,9 @@
 //!
 //! * the `train` benchmark measures the engine's speedup against this
 //!   baseline rather than against a guess;
-//! * the equivalence tests pin `HistogramMode::Rebuild` to be bit-identical
-//!   to this implementation, so the engine's reference mode is anchored to
-//!   real history instead of to itself.
+//! * the equivalence tests pin the engine's `Tree::fit` against this
+//!   implementation (same splits, topology and leaf values), so the engine
+//!   is anchored to real history instead of to itself.
 //!
 //! Only the sequential path is preserved (the historical parallel search was
 //! bit-identical to it by construction). Do not "improve" this module; its
@@ -46,8 +46,6 @@ struct BestSplit {
 
 /// Fit a tree with the pre-engine algorithm and return its node array
 /// (root first) — directly comparable to `Tree::nodes()`.
-///
-/// `params.histogram_mode` is ignored: this implementation predates it.
 ///
 /// # Panics
 /// Panics if `rows` is empty or the inputs disagree on the number of rows.

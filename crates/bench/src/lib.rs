@@ -2,7 +2,9 @@
 //! Criterion benchmarks.
 //!
 //! Every table and figure of the paper has a corresponding binary in
-//! `src/bin/` (see DESIGN.md for the index). They all build on the helpers in
+//! `src/bin/`, named after it (`fig07_quota_sweep` reproduces Figure 7,
+//! `tab04_category_count` Table 4; `fig_resilience` and `ablation_labels`
+//! go beyond the paper). They all build on the helpers in
 //! this crate: generating train/test traces, training a BYOM deployment, and
 //! running the full set of compared methods (FirstFit, Heuristic, ML
 //! Baseline, Adaptive Hash, Adaptive Ranking, Oracle TCIO, Oracle TCO)

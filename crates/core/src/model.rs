@@ -26,8 +26,8 @@ pub struct CategoryModelConfig {
     pub gbdt: GbdtParams,
     /// Feature encoder (numeric pass-through + metadata hashing).
     pub encoder: FeatureEncoder,
-    /// Fraction of the training data held out for early stopping; 0 disables
-    /// the validation split.
+    /// Fraction of the training data held out for early stopping, in
+    /// `[0, 1)`; 0 disables the validation split.
     pub valid_fraction: f64,
 }
 
@@ -69,7 +69,9 @@ impl CategoryModel {
     /// labels come from `costs` and `labeler`.
     ///
     /// # Errors
-    /// Returns an error if the trace is empty or model training fails.
+    /// Returns [`GbdtError::InvalidParams`] if `config.valid_fraction` is not
+    /// in `[0, 1)`, and an error if the trace is empty or model training
+    /// fails.
     ///
     /// # Panics
     /// Panics if `trace` and `costs` have different lengths.
@@ -79,6 +81,12 @@ impl CategoryModel {
         costs: &[JobCost],
         labeler: &CategoryLabeler,
     ) -> Result<Self, GbdtError> {
+        if !(0.0..1.0).contains(&config.valid_fraction) {
+            return Err(GbdtError::InvalidParams(format!(
+                "valid_fraction must be in [0, 1), got {}",
+                config.valid_fraction
+            )));
+        }
         assert_eq!(trace.len(), costs.len(), "trace and costs must be parallel");
         let rows: Vec<Vec<f64>> = trace
             .iter()

@@ -13,7 +13,7 @@ use crate::ladder::{FallibleCategorizer, Infallible, LadderConfig, LadderPolicy}
 use crate::model::{CategoryModel, CategoryModelConfig};
 use crate::policy::AdaptivePolicy;
 use byom_cost::CostModel;
-use byom_gbdt::{GbdtError, GbdtParams, HistogramMode};
+use byom_gbdt::{GbdtError, GbdtParams};
 use byom_trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -25,8 +25,6 @@ pub struct ByomPipelineBuilder {
     gbdt_max_depth: usize,
     valid_fraction: f64,
     adaptive: AdaptiveConfig,
-    parallelism: usize,
-    histogram_mode: HistogramMode,
 }
 
 impl Default for ByomPipelineBuilder {
@@ -37,8 +35,6 @@ impl Default for ByomPipelineBuilder {
             gbdt_max_depth: 6,
             valid_fraction: 0.2,
             adaptive: AdaptiveConfig::default(),
-            parallelism: 0,
-            histogram_mode: HistogramMode::default(),
         }
     }
 }
@@ -62,7 +58,8 @@ impl ByomPipelineBuilder {
         self
     }
 
-    /// Fraction of training data held out for early stopping.
+    /// Fraction of training data held out for early stopping, in `[0, 1)`
+    /// (0 disables the validation split; other values make `train` fail).
     pub fn valid_fraction(mut self, fraction: f64) -> Self {
         self.valid_fraction = fraction;
         self
@@ -72,27 +69,6 @@ impl ByomPipelineBuilder {
     /// decision interval).
     pub fn adaptive_config(mut self, config: AdaptiveConfig) -> Self {
         self.adaptive = config;
-        self
-    }
-
-    /// Thread budget used while training the category model: the per-class
-    /// trees of each boosting round are fitted concurrently on the shared
-    /// executor pool, and the per-feature split search inside each tree
-    /// shares the same budget via work-stealing. `0` (the default) inherits
-    /// the ambient budget (`BYOM_THREADS` or all cores); `1` trains strictly
-    /// sequentially at every nesting level. The trained model is
-    /// bit-identical regardless of this setting.
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads;
-        self
-    }
-
-    /// How per-node histograms are built while fitting trees (see
-    /// [`HistogramMode`]). The default, `Subtraction`, derives each larger
-    /// sibling as `parent − child` and is fully deterministic; `Rebuild` is
-    /// the bit-exact pre-engine reference path.
-    pub fn histogram_mode(mut self, mode: HistogramMode) -> Self {
-        self.histogram_mode = mode;
         self
     }
 
@@ -124,10 +100,8 @@ impl ByomPipeline {
                 num_trees: b.gbdt_trees,
                 tree: byom_gbdt::TreeParams {
                     max_depth: b.gbdt_max_depth,
-                    histogram_mode: b.histogram_mode,
                     ..byom_gbdt::TreeParams::default()
                 },
-                parallelism: b.parallelism,
                 ..GbdtParams::default()
             },
             encoder: byom_trace::FeatureEncoder::default(),
@@ -138,27 +112,28 @@ impl ByomPipeline {
     /// Train the labeler and category model on a historical trace, producing
     /// a [`TrainedByom`] that can mint policies.
     ///
+    /// Training runs on the ambient thread budget; wrap the call in
+    /// `byom_exec::install(n, ..)` to pin it. The trained model is
+    /// bit-identical for any budget.
+    ///
     /// # Errors
-    /// Returns an error if the trace is empty or model training fails.
+    /// Returns an error if the trace is empty, the configuration is invalid
+    /// (e.g. a `valid_fraction` outside `[0, 1)`), or model training fails.
     pub fn train(&self, train: &Trace, cost_model: &CostModel) -> Result<TrainedByom, GbdtError> {
         if train.is_empty() {
             return Err(GbdtError::EmptyDataset);
         }
-        // Pin the pipeline's thread budget for the whole training flow, so
-        // labeling and every nested level of model training share it.
-        byom_exec::install(self.builder.parallelism, || {
-            let costs = cost_model.cost_trace(train);
-            let labeler = CategoryLabeler::fit(&costs, self.builder.num_categories);
-            let model = CategoryModel::train(&self.model_config(), train, &costs, &labeler)?;
-            Ok(TrainedByom {
-                labeler,
-                model,
-                cost_model: *cost_model,
-                adaptive: AdaptiveConfig {
-                    num_categories: self.builder.num_categories,
-                    ..self.builder.adaptive
-                },
-            })
+        let costs = cost_model.cost_trace(train);
+        let labeler = CategoryLabeler::fit(&costs, self.builder.num_categories);
+        let model = CategoryModel::train(&self.model_config(), train, &costs, &labeler)?;
+        Ok(TrainedByom {
+            labeler,
+            model,
+            cost_model: *cost_model,
+            adaptive: AdaptiveConfig {
+                num_categories: self.builder.num_categories,
+                ..self.builder.adaptive
+            },
         })
     }
 }
@@ -266,13 +241,11 @@ mod tests {
             .gbdt_trees(50)
             .gbdt_max_depth(4)
             .valid_fraction(0.1)
-            .histogram_mode(HistogramMode::Rebuild)
             .build();
         let cfg = p.model_config();
         assert_eq!(cfg.num_categories, 7);
         assert_eq!(cfg.gbdt.num_trees, 50);
         assert_eq!(cfg.gbdt.tree.max_depth, 4);
-        assert_eq!(cfg.gbdt.tree.histogram_mode, HistogramMode::Rebuild);
         assert_eq!(cfg.valid_fraction, 0.1);
     }
 
@@ -299,6 +272,23 @@ mod tests {
         assert_eq!(ladder.name(), "Ladder Ranking");
         assert_eq!(ladder.health().active_rung(), 0);
         assert_eq!(ladder.rung_occupancy(), [0; crate::ladder::LADDER_RUNGS]);
+    }
+
+    #[test]
+    fn valid_fraction_outside_unit_interval_is_an_error() {
+        let train = TraceGenerator::new(65).generate(&ClusterSpec::balanced(0), 2.0 * 3600.0);
+        for fraction in [1.0, f64::NAN, -0.5] {
+            let err = ByomPipeline::builder()
+                .num_categories(5)
+                .gbdt_trees(2)
+                .valid_fraction(fraction)
+                .build()
+                .train(&train, &cost_model());
+            assert!(
+                matches!(err, Err(GbdtError::InvalidParams(_))),
+                "valid_fraction {fraction} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -100,12 +100,12 @@ pub(crate) fn with_scope_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Resolve a user-supplied parallelism knob against the ambient budget.
+/// Resolve a requested thread count against the ambient budget.
 ///
 /// `0` means "inherit": the enclosing [`install`] budget if any, otherwise
 /// the process default (`BYOM_THREADS` or all cores). A non-zero request
 /// is capped by the enclosing budget, so budgets only shrink with nesting.
-pub fn resolve_threads(requested: usize) -> usize {
+pub(crate) fn resolve_threads(requested: usize) -> usize {
     let scope = SCOPE_BUDGET.with(|b| b.get());
     match (requested, scope) {
         (0, 0) => default_threads(),
@@ -115,7 +115,9 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The thread budget in effect at this call site (see [`resolve_threads`]).
+/// The thread budget in effect at this call site: the enclosing
+/// [`install`] budget if any, otherwise the process default
+/// (`BYOM_THREADS` or all cores).
 pub fn current_num_threads() -> usize {
     resolve_threads(0)
 }

@@ -32,12 +32,6 @@ pub struct GbdtParams {
     pub early_stopping_rounds: Option<usize>,
     /// RNG seed for row subsampling.
     pub seed: u64,
-    /// Worker threads for training: the per-class trees of each boosting
-    /// round are fitted concurrently, and large nodes search their split
-    /// candidates feature-parallel. `0` means "all available cores" and `1`
-    /// recovers the fully sequential behavior. Any value produces
-    /// **bit-identical** models — parallelism never changes the result.
-    pub parallelism: usize,
 }
 
 impl Default for GbdtParams {
@@ -51,7 +45,6 @@ impl Default for GbdtParams {
             subsample: 0.8,
             early_stopping_rounds: Some(15),
             seed: 42,
-            parallelism: 0,
         }
     }
 }
@@ -133,6 +126,10 @@ pub struct GradientBoostedTrees {
 impl GradientBoostedTrees {
     /// Train a model on `train`, optionally early-stopping on `valid`.
     ///
+    /// Training runs on the ambient `byom_exec` thread budget; pin it with
+    /// `byom_exec::install(n, ..)`. The model is **bit-identical** for any
+    /// budget.
+    ///
     /// # Errors
     /// Returns an error for invalid parameters, empty datasets, or labels
     /// outside `[0, num_classes)`.
@@ -207,14 +204,13 @@ impl GradientBoostedTrees {
             // gradients all derive from the probabilities computed at the
             // start of the round, and their score updates touch disjoint
             // class columns), so classes fan out on the shared pool under
-            // `params.parallelism`; the per-feature split search inside each
-            // tree inherits the same budget and cooperates through
-            // work-stealing instead of claiming its own thread quota. The
+            // the ambient thread budget; the per-feature histogram fills
+            // inside each tree inherit the same budget and cooperate through
+            // work-stealing instead of claiming their own thread quota. The
             // schedule is bit-identical to sequential because each class's
             // work is a pure function of the round-start probabilities.
             let fitted: Vec<(Tree, Vec<f64>, Vec<f64>)> = (0..k)
                 .into_par_iter()
-                .with_max_threads(params.parallelism)
                 .map(|class| {
                     let mut grad = vec![0.0f64; n];
                     let mut hess = vec![0.0f64; n];
@@ -224,21 +220,11 @@ impl GradientBoostedTrees {
                         grad[i] = p - y;
                         hess[i] = (p * (1.0 - p)).max(1e-6);
                     }
-                    // `fit_scored` also harvests every training row's leaf
-                    // value from the partition the fit computes anyway, so
-                    // the training-score update below is one add per row
-                    // with no tree walk — bit-identical to re-traversing.
-                    let fit = Tree::fit_scored(
-                        &binned,
-                        &mapper,
-                        &grad,
-                        &hess,
-                        sample,
-                        params.tree,
-                        // Inherit this fan-out's budget (0 = ambient): nested
-                        // histogram fills share the round's thread quota.
-                        0,
-                    );
+                    // The fit also harvests every training row's leaf value
+                    // from the partition it computes anyway, so the
+                    // training-score update below is one add per row with
+                    // no tree walk — bit-identical to re-traversing.
+                    let fit = Tree::fit(&binned, &mapper, &grad, &hess, sample, params.tree);
                     let valid_preds: Vec<f64> = valid
                         .map(|v| {
                             (0..v.len())

@@ -12,11 +12,11 @@
 //! * **Buffer pooling** ([`HistogramPool`]): per-node histograms are
 //!   recycled across nodes, so a depth-6 tree allocates a handful of
 //!   buffers instead of one per feature per node.
-//! * **Sibling subtraction** ([`subtract_sibling`], [`HistogramMode`]):
-//!   a node's histogram is the bin-wise sum of its children's, so after
-//!   building the histogram of the *smaller* child the sibling comes from
-//!   `parent − child` in `O(bins)` instead of `O(rows)` — roughly halving
-//!   histogram work per tree level.
+//! * **Sibling subtraction** ([`subtract_sibling`]): a node's histogram is
+//!   the bin-wise sum of its children's, so after building the histogram of
+//!   the *smaller* child the sibling comes from `parent − child` in
+//!   `O(bins)` instead of `O(rows)` — roughly halving histogram work per
+//!   tree level.
 //!
 //! # Determinism
 //!
@@ -24,30 +24,14 @@
 //! filled by exactly one task, so the accumulated floats are bit-identical
 //! for any thread count ([`fill_histogram`] reduces per-feature results in
 //! feature order). Subtraction is a fixed bin-order pass on the calling
-//! thread. Both [`HistogramMode`]s are therefore fully deterministic; they
-//! differ from *each other* (by float rounding only) because subtraction
-//! legitimately changes the accumulation order.
+//! thread, so a fit is fully deterministic. Subtraction changes the float
+//! accumulation order of a node's histogram relative to rebuilding it from
+//! the node's rows, which can move split gains by ULPs; the equivalence
+//! tests pin the resulting trees against the frozen pre-engine reference.
 
 use crate::binning::BinMapper;
 use crate::dataset::Dataset;
 use byom_exec::prelude::*;
-use serde::{Deserialize, Serialize};
-
-/// How per-node histograms are obtained while growing a tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum HistogramMode {
-    /// Build the histogram of the smaller child from its rows and derive
-    /// the sibling as `parent − child`. Roughly halves histogram work per
-    /// level; bit-identical across runs and thread counts, but its float
-    /// accumulation order (and therefore the last ULPs of gains and leaf
-    /// values) legitimately differs from [`HistogramMode::Rebuild`].
-    #[default]
-    Subtraction,
-    /// Rebuild every node's histogram from its rows. The bit-exact
-    /// reference path: trees match the pre-engine row-major implementation
-    /// bit for bit.
-    Rebuild,
-}
 
 /// Column-major matrix of per-feature bin indices.
 ///
@@ -227,7 +211,7 @@ fn fill_column(out: &mut [HistBin], column: &[u16], grad: &[f64], hess: &[f64], 
 }
 
 /// Below this many rows the per-feature fill runs sequentially even when
-/// parallelism is enabled: the histogram work is too small to amortize the
+/// the thread budget allows more: the histogram work is too small to amortize the
 /// cost of fanning out across threads (deep nodes dominate the node count
 /// but not the runtime).
 pub const PARALLEL_FILL_MIN_ROWS: usize = 512;
@@ -235,8 +219,9 @@ pub const PARALLEL_FILL_MIN_ROWS: usize = 512;
 /// Fill the flat histogram `hist` (shaped by `layout`) with the gradient
 /// statistics of `rows`, one contiguous [`BinnedMatrix`] column per feature.
 ///
-/// With `parallelism > 1` and enough rows, feature columns fan out on the
-/// shared `byom_exec` pool; each column is still filled in row order by
+/// When the ambient thread budget ([`byom_exec::current_num_threads`]) is
+/// above 1 and there are enough rows, feature columns fan out on the shared
+/// `byom_exec` pool; each column is still filled in row order by
 /// exactly one task and the per-feature results are written back in feature
 /// order, so the result is **bit-identical** to the sequential fill.
 pub fn fill_histogram(
@@ -246,13 +231,14 @@ pub fn fill_histogram(
     grad: &[f64],
     hess: &[f64],
     rows: &[usize],
-    parallelism: usize,
 ) {
     let num_features = layout.num_features();
-    if parallelism > 1 && rows.len() >= PARALLEL_FILL_MIN_ROWS && num_features > 1 {
+    if byom_exec::current_num_threads() > 1
+        && rows.len() >= PARALLEL_FILL_MIN_ROWS
+        && num_features > 1
+    {
         let columns: Vec<Vec<HistBin>> = (0..num_features)
             .into_par_iter()
-            .with_max_threads(parallelism)
             .map(|f| {
                 let mut out = vec![HistBin::default(); layout.num_bins(f)];
                 fill_column(&mut out, binned.column(f), grad, hess, rows);
@@ -361,14 +347,18 @@ mod tests {
         let hess: Vec<f64> = (0..40).map(|i| 1.0 + (i as f64).cos().abs()).collect();
         let rows: Vec<usize> = (0..40).rev().collect();
         let mut seq = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut seq, &layout, &binned, &grad, &hess, &rows, 1);
+        fill_histogram(&mut seq, &layout, &binned, &grad, &hess, &rows);
         // Force the parallel branch by dropping the row gate via many rows?
         // The gate needs >= PARALLEL_FILL_MIN_ROWS rows; replicate rows.
         let big_rows: Vec<usize> = rows.iter().cycle().take(1024).copied().collect();
         let mut seq_big = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut seq_big, &layout, &binned, &grad, &hess, &big_rows, 1);
+        byom_exec::install(1, || {
+            fill_histogram(&mut seq_big, &layout, &binned, &grad, &hess, &big_rows)
+        });
         let mut par_big = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut par_big, &layout, &binned, &grad, &hess, &big_rows, 4);
+        byom_exec::install(4, || {
+            fill_histogram(&mut par_big, &layout, &binned, &grad, &hess, &big_rows)
+        });
         assert_eq!(seq_big, par_big);
     }
 
@@ -383,11 +373,11 @@ mod tests {
         let all: Vec<usize> = (0..40).collect();
         let (left, right) = all.split_at(17);
         let mut parent = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut parent, &layout, &binned, &grad, &hess, &all, 1);
+        fill_histogram(&mut parent, &layout, &binned, &grad, &hess, &all);
         let mut left_hist = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut left_hist, &layout, &binned, &grad, &hess, left, 1);
+        fill_histogram(&mut left_hist, &layout, &binned, &grad, &hess, left);
         let mut right_hist = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut right_hist, &layout, &binned, &grad, &hess, right, 1);
+        fill_histogram(&mut right_hist, &layout, &binned, &grad, &hess, right);
         subtract_sibling(&mut parent, &left_hist);
         for (derived, rebuilt) in parent.iter().zip(&right_hist) {
             assert_eq!(derived.count, rebuilt.count);

@@ -51,10 +51,12 @@
 //!
 //! All parallelism runs on **one persistent work-stealing pool**
 //! ([`exec`]): the first parallel call spawns it, and every layer —
-//! per-class tree fitting, feature-parallel split search, cluster/quota
+//! per-class tree fitting, column-parallel histogram fills, cluster/quota
 //! sweeps, the resilience sweep — schedules onto the same workers instead
 //! of spawning scoped threads per call. Nested fan-outs therefore share a
-//! **single thread budget** rather than multiplying:
+//! **single thread budget** rather than multiplying. It enters through
+//! [`exec::install`](byom_exec::install)`(n, f)`, which pins it for
+//! everything `f` does:
 //!
 //! * `0` = inherit the ambient budget (`BYOM_THREADS` if set, otherwise all
 //!   available cores),
@@ -67,19 +69,19 @@
 //! worker count, or steal schedule produces bit-identical models and
 //! results.
 //!
-//! * [`ByomPipeline`](byom_core::ByomPipeline) takes a
-//!   `.parallelism(n)` builder knob; the per-class trees of each boosting
-//!   round are fitted concurrently and large tree nodes fill their
-//!   per-feature histograms column-parallel
-//!   ([`GbdtParams::parallelism`](byom_gbdt::GbdtParams)).
+//! * [`ByomPipeline::train`](byom_core::ByomPipeline::train) and
+//!   [`GradientBoostedTrees::train`](byom_gbdt::GradientBoostedTrees::train)
+//!   take no thread-count setting: they run on the installed budget. The
+//!   per-class trees of each boosting round are fitted concurrently and
+//!   large tree nodes fill their per-feature histograms column-parallel.
 //! * `byom_bench::run_clusters_parallel` fans a per-cluster experiment out
 //!   across the pool, `byom_bench::run_quotas_parallel` sweeps the quota
 //!   operating points of one prepared context, and
 //!   `byom_bench::run_resilience_sweep` fans out its fault intensities —
-//!   each returns exactly what the sequential loop it replaces would.
-//! * [`exec::install`](byom_exec::install)`(n, f)` pins the budget for
-//!   everything `f` does; [`exec::join`](byom_exec::join) and the
-//!   `par_iter()` surface compose freely beneath it.
+//!   each returns exactly what the sequential loop it replaces would. The
+//!   experiment harness installs `ExperimentParams::parallelism` for them.
+//! * [`exec::join`](byom_exec::join) and the `par_iter()` surface compose
+//!   freely beneath an installed budget.
 //! * Repeated trace generations with the same `(seed, spec, duration)` are
 //!   deduplicated process-wide by
 //!   [`TraceGenerator::generate_cached`](byom_trace::TraceGenerator::generate_cached),
@@ -93,14 +95,15 @@
 //! // Shared, memoized trace generation (cheap clones of one Arc'd trace).
 //! let train = TraceGenerator::new(1).generate_cached(&spec, 4.0 * 3600.0);
 //! let cost_model = CostModel::new(CostRates::default());
-//! // Train across all cores; the model is identical to a sequential run.
-//! let trained = ByomPipeline::builder()
-//!     .num_categories(5)
-//!     .gbdt_trees(10)
-//!     .parallelism(0)
-//!     .build()
-//!     .train(&train, &cost_model)?;
-//! # let _ = trained;
+//! let pipeline = ByomPipeline::builder().num_categories(5).gbdt_trees(10).build();
+//! // Train on two threads; the model is identical to a sequential run.
+//! let parallel = byom::exec::install(2, || pipeline.train(&train, &cost_model))?;
+//! let sequential = byom::exec::install(1, || pipeline.train(&train, &cost_model))?;
+//! let job = &train.jobs()[0].features;
+//! assert_eq!(
+//!     parallel.model().predict_proba(job),
+//!     sequential.model().predict_proba(job)
+//! );
 //! # Ok(())
 //! # }
 //! ```
@@ -116,16 +119,14 @@
 //! ([`gbdt::histogram`](byom_gbdt::histogram)): features are pre-binned
 //! into a column-major [`BinnedMatrix`](byom_gbdt::BinnedMatrix) so
 //! per-node fills stream contiguous columns, per-node buffers are pooled,
-//! and by default each split builds only the smaller child's histogram and
-//! derives the sibling as `parent − child`
-//! ([`HistogramMode::Subtraction`](byom_gbdt::HistogramMode)). Both modes
-//! are bit-identical across thread counts and repeated runs;
-//! `HistogramMode::Rebuild` additionally reproduces the pre-engine trees
-//! bit-for-bit. Pick the mode per pipeline with
-//! `ByomPipeline::builder().histogram_mode(..)` or per tree via
-//! [`TreeParams`](byom_gbdt::TreeParams). `cargo bench -p byom_bench
-//! --bench train` pins the engine's speedup over the frozen pre-engine
-//! reference.
+//! and each split builds only the smaller child's histogram and derives
+//! the sibling as `parent − child`. [`Tree::fit`](byom_gbdt::Tree::fit) is
+//! the one fit path; it also returns every training row's leaf value, so
+//! boosting updates scores without walking the tree. Fits are
+//! bit-identical across thread budgets and repeated runs, and match the
+//! frozen pre-engine reference (`byom_bench::legacy_tree`) in splits,
+//! topology and leaf values. `cargo bench -p byom_bench --bench train`
+//! pins the engine's speedup over that reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,9 +149,7 @@ pub mod prelude {
         CategoryModelConfig, HashCategorizer, LadderConfig, LadderPolicy, TrainedByom,
     };
     pub use byom_cost::{CostModel, CostRates, JobCost, Placement, SavingsSummary};
-    pub use byom_gbdt::{
-        BinnedMatrix, Dataset, GbdtParams, GradientBoostedTrees, HistogramMode, TreeParams,
-    };
+    pub use byom_gbdt::{BinnedMatrix, Dataset, GbdtParams, GradientBoostedTrees, TreeParams};
     pub use byom_policies::{CategoryHeuristic, FirstFit, LifetimeMlBaseline, OraclePolicy};
     pub use byom_sim::{
         application_runtime_savings_percent, Device, JobOutcome, PlacementPolicy, SimConfig,

@@ -1,13 +1,15 @@
-//! Parallel execution must never change results: training with any
-//! `parallelism` setting produces bit-identical models, and the harness
-//! fan-out helpers return exactly what the sequential loops they replace
-//! would. These tests pin that contract.
+//! Parallel execution must never change results: training under any
+//! thread budget (`byom::exec::install`) produces bit-identical models, and
+//! the harness fan-out helpers return exactly what the sequential loops
+//! they replace would. These tests pin that contract, and pin the histogram
+//! engine's tree fit against the frozen pre-engine reference.
 
+use byom::exec::install;
 use byom::prelude::*;
 use byom_bench::{
     legacy_tree, run_clusters_parallel, run_quotas_parallel, ExperimentContext, ExperimentParams,
 };
-use byom_gbdt::{HistogramMode, Tree};
+use byom_gbdt::{Node, Tree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,26 +37,29 @@ fn synthetic_dataset(n: usize, num_features: usize, k: usize, seed: u64) -> Data
 fn gbdt_training_is_identical_for_any_parallelism() {
     let train = synthetic_dataset(1500, 6, 4, 10);
     let valid = synthetic_dataset(300, 6, 4, 11);
-    let base = GbdtParams {
+    let params = GbdtParams {
         num_classes: 4,
         num_trees: 12,
-        parallelism: 1,
         ..Default::default()
     };
-    let sequential = GradientBoostedTrees::train(&base, &train, Some(&valid)).unwrap();
+    let train_at = |threads: usize| {
+        install(threads, || {
+            GradientBoostedTrees::train(&params, &train, Some(&valid)).unwrap()
+        })
+    };
+    let sequential = train_at(1);
     for threads in [2, 4, 0] {
-        let params = GbdtParams {
-            parallelism: threads,
-            ..base
-        };
-        let parallel = GradientBoostedTrees::train(&params, &train, Some(&valid)).unwrap();
+        let parallel = train_at(threads);
         // Bit-identical trees, reports, and therefore predictions.
-        assert_eq!(sequential, parallel, "parallelism={threads} diverged");
+        assert_eq!(
+            sequential, parallel,
+            "training diverged at {threads} threads"
+        );
         for i in 0..50 {
             assert_eq!(
                 sequential.predict_proba(train.row(i)),
                 parallel.predict_proba(train.row(i)),
-                "prediction {i} diverged at parallelism={threads}"
+                "prediction {i} diverged at {threads} threads"
             );
         }
     }
@@ -70,14 +75,15 @@ fn tree_fit_is_identical_for_any_parallelism() {
     let hess: Vec<f64> = (0..data.len()).map(|_| rng.gen_range(0.1..1.0)).collect();
     let rows: Vec<usize> = (0..data.len()).collect();
     let params = byom_gbdt::TreeParams::default();
-    let sequential = Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
+    let fit_at = |threads: usize| {
+        install(threads, || {
+            Tree::fit(&binned, &mapper, &grad, &hess, &rows, params)
+        })
+    };
+    let sequential = fit_at(1);
     for threads in [2, 4, 0] {
-        let parallel =
-            Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, threads);
-        assert_eq!(
-            sequential, parallel,
-            "tree diverged at parallelism={threads}"
-        );
+        let parallel = fit_at(threads);
+        assert_eq!(sequential, parallel, "tree diverged at {threads} threads");
     }
 }
 
@@ -100,93 +106,111 @@ fn subtraction_mode_is_bit_identical_across_thread_counts_and_runs() {
     let (data, mapper, grad, hess) = tree_fixture(2500, 8, 20);
     let binned = mapper.bin_dataset(&data);
     let rows: Vec<usize> = (0..data.len()).collect();
-    let params = byom_gbdt::TreeParams {
-        histogram_mode: HistogramMode::Subtraction,
-        ..Default::default()
+    let params = byom_gbdt::TreeParams::default();
+    let fit_at = |threads: usize| {
+        install(threads, || {
+            Tree::fit(&binned, &mapper, &grad, &hess, &rows, params)
+        })
     };
-    let reference = Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, 1);
+    let reference = fit_at(1);
     for threads in [1, 2, 8] {
         // Repeated runs at each thread count: the steal schedule varies from
         // run to run, the fitted tree must not.
         for run in 0..3 {
-            let tree =
-                Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, threads);
             assert_eq!(
-                reference, tree,
-                "subtraction fit diverged at parallelism={threads}, run {run}"
+                reference,
+                fit_at(threads),
+                "subtraction fit diverged at {threads} threads, run {run}"
             );
         }
     }
 }
 
-#[test]
-fn rebuild_mode_is_bit_identical_to_the_pre_engine_implementation() {
-    let (data, mapper, grad, hess) = tree_fixture(2000, 6, 21);
-    let binned = mapper.bin_dataset(&data);
-    let binned_row_major = legacy_tree::bin_dataset_row_major(&mapper, &data);
-    let rows: Vec<usize> = (0..data.len()).collect();
-    let params = byom_gbdt::TreeParams {
-        histogram_mode: HistogramMode::Rebuild,
-        ..Default::default()
-    };
-    let legacy = legacy_tree::fit_legacy(
-        &binned_row_major,
-        data.num_features(),
-        &mapper,
-        &grad,
-        &hess,
-        &rows,
-        params,
-    );
-    for threads in [1, 4] {
-        let tree =
-            Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, threads);
+/// Assert that an engine-fitted tree matches the frozen pre-engine fit:
+/// the same split feature, threshold and children on every node,
+/// bit-equal leaf values, and split gains within 1e-9 (sibling subtraction
+/// sums a node's histogram in a different order than rebuilding it, so
+/// gains may differ in the last ULPs).
+fn assert_matches_legacy(tree: &Tree, legacy: &[Node], label: &str) {
+    assert_eq!(tree.num_nodes(), legacy.len(), "{label}: node count");
+    for (i, (a, b)) in tree.nodes().iter().zip(legacy).enumerate() {
+        assert_eq!(a.feature, b.feature, "{label}: node {i} split feature");
         assert_eq!(
-            tree.nodes(),
-            legacy.as_slice(),
-            "rebuild mode diverged from the frozen pre-engine fit at parallelism={threads}"
+            a.threshold.to_bits(),
+            b.threshold.to_bits(),
+            "{label}: node {i} threshold"
+        );
+        assert_eq!(a.left, b.left, "{label}: node {i} left child");
+        assert_eq!(a.right, b.right, "{label}: node {i} right child");
+        assert_eq!(
+            a.value.to_bits(),
+            b.value.to_bits(),
+            "{label}: node {i} leaf value {} vs {}",
+            a.value,
+            b.value
+        );
+        assert!(
+            (a.gain - b.gain).abs() <= 1e-9,
+            "{label}: node {i} gain {} vs {}",
+            a.gain,
+            b.gain
         );
     }
 }
 
+/// Fit the seeded fixture with the frozen pre-engine algorithm (which
+/// rebuilds every node's histogram from its rows) and with the default
+/// engine fit (sibling subtraction) under `install(1)` and `install(4)`,
+/// and assert the engine fits match it per `assert_matches_legacy`.
+fn assert_default_fit_matches_legacy(
+    name: &str,
+    data: &Dataset,
+    mapper: &byom_gbdt::BinMapper,
+    grad: &[f64],
+    hess: &[f64],
+) {
+    let params = byom_gbdt::TreeParams::default();
+    let rows: Vec<usize> = (0..data.len()).collect();
+    let legacy = legacy_tree::fit_legacy(
+        &legacy_tree::bin_dataset_row_major(mapper, data),
+        data.num_features(),
+        mapper,
+        grad,
+        hess,
+        &rows,
+        params,
+    );
+    let binned = mapper.bin_dataset(data);
+    for threads in [1, 4] {
+        let fit = install(threads, || {
+            Tree::fit(&binned, mapper, grad, hess, &rows, params)
+        });
+        assert_matches_legacy(&fit.tree, &legacy, &format!("{name}, {threads} threads"));
+    }
+}
+
+#[test]
+fn rebuild_mode_is_bit_identical_to_the_pre_engine_implementation() {
+    // Random gradients over a three-class dataset (seed 21).
+    let (data, mapper, grad, hess) = tree_fixture(2000, 6, 21);
+    assert_default_fit_matches_legacy("seed 21", &data, &mapper, &grad, &hess);
+}
+
 #[test]
 fn subtraction_and_rebuild_agree_on_structure_with_close_leaf_values() {
-    // Seeded three-class dataset: subtraction's float accumulation order
-    // legitimately differs from rebuild's, so leaf values may drift by ULPs,
-    // but the chosen splits — features, bins, topology — must match.
+    // First-round softmax gradients of class 0 on a seeded three-class
+    // dataset (seed 22): the subtraction fit must choose the pre-engine
+    // rebuild's splits and topology, with bit-equal leaf values.
     let train = synthetic_dataset(1200, 6, 3, 22);
     let mapper = byom_gbdt::BinMapper::fit(&train, 64);
-    let binned = mapper.bin_dataset(&train);
-    let probs = 1.0 / 3.0f64;
+    let p = 1.0 / 3.0f64;
     let grad: Vec<f64> = train
         .labels()
         .iter()
-        .map(|&l| probs - if l == 0 { 1.0 } else { 0.0 })
+        .map(|&l| p - if l == 0 { 1.0 } else { 0.0 })
         .collect();
-    let hess = vec![probs * (1.0 - probs); train.len()];
-    let rows: Vec<usize> = (0..train.len()).collect();
-    let fit = |mode: HistogramMode| {
-        let params = byom_gbdt::TreeParams {
-            histogram_mode: mode,
-            ..Default::default()
-        };
-        Tree::fit(&binned, &mapper, &grad, &hess, &rows, params)
-    };
-    let sub = fit(HistogramMode::Subtraction);
-    let reb = fit(HistogramMode::Rebuild);
-    assert_eq!(sub.num_nodes(), reb.num_nodes());
-    for (i, (a, b)) in sub.nodes().iter().zip(reb.nodes()).enumerate() {
-        assert_eq!(a.feature, b.feature, "node {i} split feature diverged");
-        assert_eq!(a.threshold, b.threshold, "node {i} threshold diverged");
-        assert_eq!(a.left, b.left, "node {i} topology diverged");
-        assert_eq!(a.right, b.right, "node {i} topology diverged");
-        assert!(
-            (a.value - b.value).abs() < 1e-9,
-            "node {i} leaf value drifted: {} vs {}",
-            a.value,
-            b.value
-        );
-    }
+    let hess = vec![p * (1.0 - p); train.len()];
+    assert_default_fit_matches_legacy("seed 22 softmax", &train, &mapper, &grad, &hess);
 }
 
 fn quick_params() -> ExperimentParams {

@@ -1,4 +1,4 @@
-//! Property-based tests over the core invariants listed in DESIGN.md:
+//! Property-based tests over the workspace's core invariants:
 //! cost-model sanity, oracle feasibility and monotonicity, simulator capacity
 //! conservation, label-partition validity, ACT bounds, and GBDT
 //! probability-distribution validity.
