@@ -33,14 +33,10 @@ fn savings_with_and_without(
     key: impl Fn(&byom_trace::ShuffleJob) -> String,
     quotas: &[f64],
 ) -> Vec<(f64, f64, f64)> {
-    let full_train = ctx.train.clone();
+    // `ctx.trained` was trained on the full training trace with these same
+    // parameters: it is the "with" model.
+    let with_model = &ctx.trained;
     let without: Trace = ctx.train.filter(|j| key(j) != excluded);
-    let with_model = ByomPipeline::builder()
-        .num_categories(ctx.params.num_categories)
-        .gbdt_trees(ctx.params.gbdt_trees)
-        .build()
-        .train(&full_train, &ctx.cost_model)
-        .expect("training with entity succeeds");
     let without_model = ByomPipeline::builder()
         .num_categories(ctx.params.num_categories)
         .gbdt_trees(ctx.params.gbdt_trees)

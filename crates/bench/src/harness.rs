@@ -170,12 +170,9 @@ impl ExperimentContext {
     /// `include_oracles` controls whether the clairvoyant bounds are included
     /// (they are the slowest part for large traces).
     pub fn run_all_methods(&self, quota_fraction: f64, include_oracles: bool) -> Vec<MethodResult> {
-        // Pin this experiment's thread budget: before the unified executor,
-        // the ML baseline trained below fell back to "all available cores"
-        // even when `params.parallelism` was 1, because nested calls
-        // resolved their own `available_parallelism` default. Installing the
-        // budget makes `parallelism = 1` strictly sequential at every
-        // nesting level.
+        // Pin this experiment's thread budget, so `parallelism = 1` stays
+        // strictly sequential at every nesting level (including the ML
+        // baseline's training).
         byom_exec::install(self.params.parallelism, || {
             self.run_all_methods_inner(quota_fraction, include_oracles)
         })

@@ -3,21 +3,22 @@
 
 use crate::plan::ModelFaults;
 use crate::{mix, salt};
-use byom_core::{Categorizer, FallibleCategorizer};
+use byom_core::Categorizer;
 use byom_trace::ShuffleJob;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cell::Cell;
 
 /// Wraps a categorizer with model faults.
 ///
-/// The wrapper implements both category interfaces, with deliberately
-/// different blackout semantics:
+/// The wrapper's two [`Categorizer`] entry points deliberately differ on a
+/// blackout:
 ///
-/// * [`FallibleCategorizer`] — blackout ⇒ `None`. This is what the
-///   degradation ladder consumes: it *sees* the outage and falls back.
-/// * [`Categorizer`] — blackout ⇒ category 0 (the "loses money on SSD"
-///   category). This is the **no-fallback ablation**: a plain adaptive
-///   policy keeps trusting the wedged prediction service and sends
+/// * [`Categorizer::try_categorize`] — blackout ⇒ `None`. This is what the
+///   degradation ladder's model rung calls: it *sees* the outage and falls
+///   back.
+/// * [`Categorizer::categorize`] — blackout ⇒ category 0 (the "loses money
+///   on SSD" category). This is the **no-fallback ablation**: a plain
+///   adaptive policy keeps trusting the wedged prediction service and sends
 ///   everything to HDD for the duration.
 ///
 /// Label flips are calibrated by the wrapped model's confidence: a flip
@@ -117,16 +118,6 @@ impl<C: Categorizer> Categorizer for FaultyCategorizer<C> {
         } else {
             self.predicted(job)
         }
-    }
-
-    fn num_categories(&self) -> usize {
-        self.inner.num_categories()
-    }
-}
-
-impl<C: Categorizer> FallibleCategorizer for FaultyCategorizer<C> {
-    fn name(&self) -> &str {
-        self.inner.name()
     }
 
     fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {

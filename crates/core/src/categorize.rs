@@ -26,6 +26,15 @@ pub trait Categorizer {
     /// executes.
     fn categorize(&self, job: &ShuffleJob) -> usize;
 
+    /// Predict the category, or `None` if no prediction is available at the
+    /// job's arrival time (in fault-injection runs, a blackout window). The
+    /// degradation ladder's model rung calls this and treats `None` as a
+    /// failure of that rung. Categorizers that always answer keep the
+    /// default.
+    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
+        Some(self.categorize(job))
+    }
+
     /// Predict the category together with the categorizer's confidence in
     /// `[0, 1]`. Deterministic categorizers (hash, oracle) are fully
     /// confident; learned models override this with their predicted class

@@ -3,8 +3,9 @@
 //!
 //! The ladder's rungs, from most to least capable:
 //!
-//! 0. **Model** — the (possibly fallible) category model plus the adaptive
-//!    category selection algorithm.
+//! 0. **Model** — the category model plus the adaptive category selection
+//!    algorithm; a [`Categorizer::try_categorize`] of `None` (a blackout)
+//!    counts as a failure of this rung.
 //! 1. **Hash** — the non-ML hash categorizer plus an independent adaptive
 //!    selector; survives model blackouts and label corruption.
 //! 2. **Heuristic** — the CacheSack-style per-category admission heuristic;
@@ -41,42 +42,6 @@ pub const LADDER_RUNGS: usize = 4;
 
 /// Rung names, top (most capable) first.
 pub const RUNG_NAMES: [&str; LADDER_RUNGS] = ["model", "hash", "heuristic", "first-fit"];
-
-/// A categorizer whose predictions may be temporarily unavailable.
-///
-/// This is the interface the ladder's top rung consumes: `None` means "the
-/// prediction service cannot answer right now" (in fault-injection runs, a
-/// blackout window), which the ladder treats as a failure of the model rung.
-pub trait FallibleCategorizer {
-    /// Short name used to build the policy name (e.g. "Ranking").
-    fn name(&self) -> &str;
-
-    /// Predict the job's category, or `None` if no prediction is available
-    /// at the job's arrival time.
-    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize>;
-
-    /// Number of categories this categorizer produces.
-    fn num_categories(&self) -> usize;
-}
-
-/// Adapter: use an ordinary (infallible) [`Categorizer`] as the ladder's
-/// model rung. Its predictions are always available.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Infallible<C>(pub C);
-
-impl<C: Categorizer> FallibleCategorizer for Infallible<C> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
-        Some(self.0.categorize(job))
-    }
-
-    fn num_categories(&self) -> usize {
-        self.0.num_categories()
-    }
-}
 
 /// Configuration of the degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -207,7 +172,7 @@ impl HealthTracker {
 /// The graceful-degradation placement policy: model → hash → heuristic →
 /// first-fit, with health-driven demotion and recovery probing.
 #[derive(Debug, Clone)]
-pub struct LadderPolicy<M: FallibleCategorizer> {
+pub struct LadderPolicy<M: Categorizer> {
     name: String,
     model: M,
     model_selector: AdaptiveSelector,
@@ -224,8 +189,9 @@ pub struct LadderPolicy<M: FallibleCategorizer> {
     last_attributed: bool,
 }
 
-impl<M: FallibleCategorizer> LadderPolicy<M> {
-    /// Build a ladder from a (possibly fallible) model-rung categorizer.
+impl<M: Categorizer> LadderPolicy<M> {
+    /// Build a ladder over a model-rung categorizer (whose
+    /// [`Categorizer::try_categorize`] may report blackouts).
     /// The adaptive selectors' category count follows the categorizer's.
     ///
     /// # Panics
@@ -323,7 +289,7 @@ impl<M: FallibleCategorizer> LadderPolicy<M> {
     }
 }
 
-impl<M: FallibleCategorizer> PlacementPolicy for LadderPolicy<M> {
+impl<M: Categorizer> PlacementPolicy for LadderPolicy<M> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -407,23 +373,26 @@ mod tests {
     use super::*;
     use byom_trace::{IoProfile, JobFeatures, JobId};
 
-    /// A fallible categorizer that is blacked out inside a time window.
+    /// A categorizer that is blacked out inside a time window.
     #[derive(Debug, Clone)]
     struct WindowedModel {
         blackout: (f64, f64),
         categories: usize,
     }
 
-    impl FallibleCategorizer for WindowedModel {
+    impl Categorizer for WindowedModel {
         fn name(&self) -> &str {
             "Windowed"
+        }
+        fn categorize(&self, _job: &ShuffleJob) -> usize {
+            self.categories - 1 // always top category
         }
         fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
             let (start, end) = self.blackout;
             if job.arrival >= start && job.arrival < end {
                 None
             } else {
-                Some(self.categories - 1) // always top category
+                Some(self.categorize(job))
             }
         }
         fn num_categories(&self) -> usize {

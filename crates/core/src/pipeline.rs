@@ -7,9 +7,9 @@
 //! selection algorithm.
 
 use crate::adaptive::AdaptiveConfig;
-use crate::categorize::{HashCategorizer, TrueCategoryOracle};
+use crate::categorize::{Categorizer, HashCategorizer, TrueCategoryOracle};
 use crate::labels::CategoryLabeler;
-use crate::ladder::{FallibleCategorizer, Infallible, LadderConfig, LadderPolicy};
+use crate::ladder::{LadderConfig, LadderPolicy};
 use crate::model::{CategoryModel, CategoryModelConfig};
 use crate::policy::AdaptivePolicy;
 use byom_cost::CostModel;
@@ -22,9 +22,7 @@ use serde::{Deserialize, Serialize};
 pub struct ByomPipelineBuilder {
     num_categories: usize,
     gbdt_trees: usize,
-    gbdt_max_depth: usize,
     valid_fraction: f64,
-    adaptive: AdaptiveConfig,
 }
 
 impl Default for ByomPipelineBuilder {
@@ -32,9 +30,7 @@ impl Default for ByomPipelineBuilder {
         ByomPipelineBuilder {
             num_categories: 15,
             gbdt_trees: 300,
-            gbdt_max_depth: 6,
             valid_fraction: 0.2,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -52,23 +48,10 @@ impl ByomPipelineBuilder {
         self
     }
 
-    /// Maximum tree depth (paper default: 6).
-    pub fn gbdt_max_depth(mut self, depth: usize) -> Self {
-        self.gbdt_max_depth = depth;
-        self
-    }
-
     /// Fraction of training data held out for early stopping, in `[0, 1)`
     /// (0 disables the validation split; other values make `train` fail).
     pub fn valid_fraction(mut self, fraction: f64) -> Self {
         self.valid_fraction = fraction;
-        self
-    }
-
-    /// Adaptive-algorithm configuration (look-back window, tolerance range,
-    /// decision interval).
-    pub fn adaptive_config(mut self, config: AdaptiveConfig) -> Self {
-        self.adaptive = config;
         self
     }
 
@@ -90,7 +73,8 @@ impl ByomPipeline {
         ByomPipelineBuilder::default()
     }
 
-    /// The category-model configuration this pipeline will train with.
+    /// The category-model configuration this pipeline will train with
+    /// (depth-6 trees: the paper's setting and the [`GbdtParams`] default).
     pub fn model_config(&self) -> CategoryModelConfig {
         let b = &self.builder;
         CategoryModelConfig {
@@ -98,10 +82,6 @@ impl ByomPipeline {
             gbdt: GbdtParams {
                 num_classes: b.num_categories,
                 num_trees: b.gbdt_trees,
-                tree: byom_gbdt::TreeParams {
-                    max_depth: b.gbdt_max_depth,
-                    ..byom_gbdt::TreeParams::default()
-                },
                 ..GbdtParams::default()
             },
             encoder: byom_trace::FeatureEncoder::default(),
@@ -132,7 +112,7 @@ impl ByomPipeline {
             cost_model: *cost_model,
             adaptive: AdaptiveConfig {
                 num_categories: self.builder.num_categories,
-                ..self.builder.adaptive
+                ..AdaptiveConfig::default()
             },
         })
     }
@@ -174,9 +154,9 @@ impl TrainedByom {
     /// The graceful-degradation ladder with the trained model as its top
     /// rung: model → hash → heuristic → first-fit, with default demotion and
     /// probing settings (see [`LadderConfig`]).
-    pub fn ladder_policy(&self) -> LadderPolicy<Infallible<CategoryModel>> {
+    pub fn ladder_policy(&self) -> LadderPolicy<CategoryModel> {
         self.ladder_policy_with(
-            Infallible(self.model.clone()),
+            self.model.clone(),
             LadderConfig {
                 adaptive: self.adaptive,
                 ..LadderConfig::default()
@@ -184,10 +164,11 @@ impl TrainedByom {
         )
     }
 
-    /// The graceful-degradation ladder with a caller-supplied (possibly
-    /// fallible) model rung — fault-injection layers wrap the trained model
-    /// and hand the wrapper in here.
-    pub fn ladder_policy_with<M: FallibleCategorizer>(
+    /// The graceful-degradation ladder with a caller-supplied model rung —
+    /// fault-injection layers wrap the trained model (overriding
+    /// [`Categorizer::try_categorize`] to report blackouts) and hand the
+    /// wrapper in here.
+    pub fn ladder_policy_with<M: Categorizer>(
         &self,
         model: M,
         config: LadderConfig,
@@ -239,13 +220,11 @@ mod tests {
         let p = ByomPipeline::builder()
             .num_categories(7)
             .gbdt_trees(50)
-            .gbdt_max_depth(4)
             .valid_fraction(0.1)
             .build();
         let cfg = p.model_config();
         assert_eq!(cfg.num_categories, 7);
         assert_eq!(cfg.gbdt.num_trees, 50);
-        assert_eq!(cfg.gbdt.tree.max_depth, 4);
         assert_eq!(cfg.valid_fraction, 0.1);
     }
 
@@ -272,6 +251,35 @@ mod tests {
         assert_eq!(ladder.name(), "Ladder Ranking");
         assert_eq!(ladder.health().active_rung(), 0);
         assert_eq!(ladder.rung_occupancy(), [0; crate::ladder::LADDER_RUNGS]);
+    }
+
+    #[test]
+    fn plain_categorizers_drive_the_ladder_without_an_adapter() {
+        let train = TraceGenerator::new(66).generate(&ClusterSpec::balanced(0), 4.0 * 3600.0);
+        let test = TraceGenerator::new(67).generate(&ClusterSpec::balanced(0), 2.0 * 3600.0);
+        let cm = cost_model();
+        let trained = quick_pipeline().train(&train, &cm).unwrap();
+
+        // Every categorizer that always answers keeps the default
+        // `try_categorize`, which is exactly `Some(categorize)`.
+        let hash = HashCategorizer::new(5);
+        let truth = TrueCategoryOracle::new(trained.labeler().clone(), cm);
+        let model = trained.model();
+        for job in test.iter() {
+            assert_eq!(hash.try_categorize(job), Some(hash.categorize(job)));
+            assert_eq!(truth.try_categorize(job), Some(truth.categorize(job)));
+            assert_eq!(model.try_categorize(job), Some(model.categorize(job)));
+        }
+
+        // A fault-free replay at quota 1.0 never leaves the model rung.
+        let sim = Simulator::new(
+            SimConfig::try_from_quota_fraction(&test, 1.0).expect("valid quota fraction"),
+            cm,
+        );
+        let mut ladder = LadderPolicy::new(hash, LadderConfig::default());
+        assert_eq!(ladder.name(), "Ladder Hash");
+        let _ = sim.run(&test, &mut ladder);
+        assert_eq!(ladder.rung_occupancy()[0], test.len() as u64);
     }
 
     #[test]

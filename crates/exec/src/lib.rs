@@ -229,16 +229,6 @@ impl<'a, T: Sync> ParIter<'a, T> {
             f,
         }
     }
-
-    /// Apply `f` to every element in parallel.
-    pub fn for_each<F: Fn(&'a T) + Sync>(self, f: F) {
-        let items = self.items;
-        run_map(self.requested, items.len(), |i| {
-            if let Some(item) = items.get(i) {
-                f(item);
-            }
-        });
-    }
 }
 
 /// The result of [`ParIter::map`], ready to collect.
@@ -313,12 +303,6 @@ impl ParRange {
             f,
         }
     }
-
-    /// Apply `f` to every index in parallel.
-    pub fn for_each<F: Fn(usize) + Sync>(self, f: F) {
-        let start = self.start;
-        run_map(self.requested, self.end - start, |i| f(start + i));
-    }
 }
 
 /// The result of [`ParRange::map`], ready to collect.
@@ -345,7 +329,6 @@ impl<U: Send, F: Fn(usize) -> U + Sync> ParRangeMap<F> {
 mod tests {
     use super::prelude::*;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -379,16 +362,6 @@ mod tests {
             .map(|_| std::thread::current().id() == caller)
             .collect();
         assert_eq!(out, vec![true; 10]);
-    }
-
-    #[test]
-    fn for_each_visits_every_element_once() {
-        let count = AtomicUsize::new(0);
-        let items: Vec<u8> = vec![1; 500];
-        items.par_iter().with_max_threads(4).for_each(|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 500);
     }
 
     #[test]

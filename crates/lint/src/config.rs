@@ -352,7 +352,7 @@ reason = "hot-path indexing"
         assert!(!wc.applies_to("crates/bench/src/harness.rs"));
 
         let it = c.scope("no-unordered-iteration");
-        assert!(it.applies_to("crates/core/src/registry.rs"));
+        assert!(it.applies_to("crates/core/src/ladder.rs"));
         assert!(!it.applies_to("crates/gbdt/src/gbm.rs"));
 
         // Unconfigured rules apply everywhere.
