@@ -234,17 +234,6 @@ impl<M: Categorizer> LadderPolicy<M> {
         self.occupancy
     }
 
-    /// Fraction of decisions made by the model rung (0 when no decisions).
-    pub fn model_rung_fraction(&self) -> f64 {
-        let total: u64 = self.occupancy.iter().sum();
-        let model = self.occupancy.first().copied().unwrap_or(0);
-        if total == 0 {
-            0.0
-        } else {
-            model as f64 / total as f64
-        }
-    }
-
     /// Decide via the model rung if it answers; `None` means blackout.
     fn model_decision(&mut self, now: f64, job: &ShuffleJob) -> Option<Device> {
         let category = self.model.try_categorize(job)?;
@@ -466,7 +455,6 @@ mod tests {
         }
         assert_eq!(ladder.health().active_rung(), 0);
         assert_eq!(ladder.rung_occupancy()[0], 50);
-        assert!((ladder.model_rung_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]

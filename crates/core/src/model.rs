@@ -35,7 +35,13 @@ impl Default for CategoryModelConfig {
     fn default() -> Self {
         CategoryModelConfig {
             num_categories: 15,
-            gbdt: GbdtParams::paper_default(15),
+            // The paper's category models: 15 classes, up to 300 trees,
+            // depth 6 (the `TreeParams` default).
+            gbdt: GbdtParams {
+                num_classes: 15,
+                num_trees: 300,
+                ..GbdtParams::default()
+            },
             encoder: FeatureEncoder::default(),
             valid_fraction: 0.2,
         }
@@ -281,6 +287,14 @@ mod tests {
         let costs = CostModel::new(CostRates::default()).cost_trace(&trace);
         let labeler = CategoryLabeler::fit(&costs, categories);
         (trace, costs, labeler)
+    }
+
+    #[test]
+    fn default_config_matches_paper_configuration() {
+        let gbdt = CategoryModelConfig::default().gbdt;
+        assert_eq!(gbdt.num_classes, 15);
+        assert_eq!(gbdt.num_trees, 300);
+        assert_eq!(gbdt.tree.max_depth, 6);
     }
 
     #[test]

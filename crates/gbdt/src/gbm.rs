@@ -50,21 +50,6 @@ impl Default for GbdtParams {
 }
 
 impl GbdtParams {
-    /// The configuration the paper uses for its category models: 15 classes,
-    /// up to 300 trees, depth 6.
-    pub fn paper_default(num_classes: usize) -> Self {
-        GbdtParams {
-            num_classes,
-            num_trees: 300,
-            learning_rate: 0.1,
-            tree: TreeParams {
-                max_depth: 6,
-                ..TreeParams::default()
-            },
-            ..Default::default()
-        }
-    }
-
     fn validate(&self) -> Result<(), GbdtError> {
         if self.num_classes < 2 {
             return Err(GbdtError::InvalidParams(format!(
@@ -554,14 +539,6 @@ mod tests {
         let preds = model.predict_dataset(&data);
         let zeros = preds.iter().filter(|&&p| p == 0).count();
         assert!(zeros as f64 / preds.len() as f64 > 0.9);
-    }
-
-    #[test]
-    fn paper_default_matches_paper_configuration() {
-        let p = GbdtParams::paper_default(15);
-        assert_eq!(p.num_classes, 15);
-        assert_eq!(p.num_trees, 300);
-        assert_eq!(p.tree.max_depth, 6);
     }
 
     #[test]

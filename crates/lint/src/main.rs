@@ -1,4 +1,4 @@
-//! CLI entry point: `byom_lint check [--json]` / `byom_lint bless`.
+//! CLI entry point: `byom_lint check [--json]`.
 
 #![forbid(unsafe_code)]
 
@@ -14,21 +14,18 @@ USAGE:
 
 COMMANDS:
     check    scan the tree and fail (exit 1) on violations beyond the
-             lint.toml allowlist and the committed baseline
-    bless    rewrite the baseline to accept the current tree
+             [[allow]] budgets in lint.toml
 
 OPTIONS:
     --root <DIR>        repository root to scan        [default: .]
     --config <FILE>     configuration file             [default: <root>/lint.toml]
-    --baseline <FILE>   baseline file                  [default: <root>/lint.baseline]
-    --json              (check) emit a JSON report instead of text
+    --json              emit a JSON report instead of text
 ";
 
 struct Args {
     command: String,
     root: PathBuf,
     config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
 }
 
@@ -39,14 +36,12 @@ fn parse_args() -> Result<Args, String> {
         command,
         root: PathBuf::from("."),
         config: None,
-        baseline: None,
         json: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => parsed.root = take_value(&mut args, "--root")?.into(),
             "--config" => parsed.config = Some(take_value(&mut args, "--config")?.into()),
-            "--baseline" => parsed.baseline = Some(take_value(&mut args, "--baseline")?.into()),
             "--json" => parsed.json = true,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -70,10 +65,6 @@ fn main() -> ExitCode {
         .config
         .clone()
         .unwrap_or_else(|| args.root.join("lint.toml"));
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint.baseline"));
     let config = match config::load(&config_path) {
         Ok(c) => c,
         Err(e) => {
@@ -83,7 +74,7 @@ fn main() -> ExitCode {
     };
 
     match args.command.as_str() {
-        "check" => match engine::check(&args.root, &config, &baseline_path) {
+        "check" => match engine::check(&args.root, &config) {
             Ok(outcome) => {
                 if args.json {
                     println!("{}", report::json(&outcome));
@@ -95,22 +86,6 @@ fn main() -> ExitCode {
                 } else {
                     ExitCode::from(1)
                 }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        },
-        "bless" => match engine::bless(&args.root, &config, &baseline_path) {
-            Ok(counts) => {
-                let total: usize = counts.values().sum();
-                println!(
-                    "blessed {} finding(s) across {} (rule, file) pair(s) into {}",
-                    total,
-                    counts.len(),
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
             }
             Err(e) => {
                 eprintln!("error: {e}");

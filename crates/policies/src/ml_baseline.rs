@@ -113,11 +113,6 @@ impl LifetimeMlBaseline {
         }
         (mean, var.sqrt())
     }
-
-    /// The configured TTL in seconds.
-    pub fn ttl_secs(&self) -> f64 {
-        self.config.ttl_secs
-    }
 }
 
 impl PlacementPolicy for LifetimeMlBaseline {
@@ -223,12 +218,5 @@ mod tests {
                 "short {short_rate} should be admitted at least as often as long {long_rate}"
             );
         }
-    }
-
-    #[test]
-    fn name_and_ttl_accessors() {
-        let trace = TraceGenerator::new(23).generate(&ClusterSpec::balanced(0), 7_200.0);
-        let baseline = LifetimeMlBaseline::train(config(), &trace).unwrap();
-        assert_eq!(baseline.ttl_secs(), config().ttl_secs);
     }
 }

@@ -1,4 +1,4 @@
-//! A process-wide, capacity-bounded (LRU) cache of generated traces.
+//! A process-wide memo of generated traces.
 //!
 //! The experiment harness regenerates the same traces over and over: every
 //! figure binary prepares contexts from the same `(seed, spec, duration)`
@@ -11,21 +11,16 @@
 //! and a structural fingerprint of the [`ClusterSpec`] (its JSON serialization,
 //! so any change to any field produces a distinct key).
 //!
-//! The cache holds at most [`trace_cache_capacity`] traces (default
-//! [`DEFAULT_TRACE_CACHE_CAPACITY`]); inserting beyond that evicts the
-//! least-recently-used entry, so long-running sweeps over many specs stay
-//! memory-bounded. Outstanding `Arc` handles keep evicted traces alive until
-//! their holders drop them. The map is a `BTreeMap` and the LRU order is a
-//! monotone use-counter, so eviction order is fully deterministic.
+//! The cache never evicts: a process requests a few dozen distinct traces at
+//! most (fig06 asks for 20). [`clear_trace_cache`] is the one memory control;
+//! outstanding `Arc` handles keep cleared traces alive until their holders
+//! drop them.
 
 use crate::cluster::ClusterSpec;
 use crate::generator::TraceGenerator;
 use crate::trace::Trace;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Default maximum number of traces retained by the process-wide cache.
-pub const DEFAULT_TRACE_CACHE_CAPACITY: usize = 64;
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct TraceKey {
@@ -34,66 +29,9 @@ struct TraceKey {
     spec_fingerprint: String,
 }
 
-#[derive(Debug)]
-struct Entry {
-    trace: Arc<Trace>,
-    /// Value of the use-counter at the last hit; smallest = evict first.
-    last_used: u64,
-}
-
-#[derive(Debug)]
-struct LruCache {
-    entries: BTreeMap<TraceKey, Entry>,
-    capacity: usize,
-    /// Monotone counter; bumped on every hit or insert.
-    tick: u64,
-}
-
-impl LruCache {
-    fn touch(&mut self, key: &TraceKey) -> Option<Arc<Trace>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.trace)
-        })
-    }
-
-    fn insert(&mut self, key: TraceKey, trace: Arc<Trace>) -> Arc<Trace> {
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self.entries.entry(key).or_insert(Entry {
-            trace,
-            last_used: tick,
-        });
-        entry.last_used = tick;
-        let shared = Arc::clone(&entry.trace);
-        // Evict least-recently-used entries down to capacity. `last_used`
-        // values are unique (the counter is monotone), so the victim — and
-        // therefore the cache's entire observable state — is deterministic.
-        while self.entries.len() > self.capacity.max(1) {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        shared
-    }
-}
-
-fn cache() -> &'static Mutex<LruCache> {
-    static CACHE: OnceLock<Mutex<LruCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(LruCache {
-            entries: BTreeMap::new(),
-            capacity: DEFAULT_TRACE_CACHE_CAPACITY,
-            tick: 0,
-        })
-    })
+fn cache() -> &'static Mutex<BTreeMap<TraceKey, Arc<Trace>>> {
+    static CACHE: OnceLock<Mutex<BTreeMap<TraceKey, Arc<Trace>>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 // lint note: the `.expect("trace cache lock")` calls below are the one
@@ -118,47 +56,23 @@ impl TraceGenerator {
             duration_bits: duration_secs.to_bits(),
             spec_fingerprint: serde_json::to_string(spec).expect("cluster specs always serialize"),
         };
-        if let Some(hit) = cache().lock().expect("trace cache lock").touch(&key) {
-            return hit;
+        if let Some(hit) = cache().lock().expect("trace cache lock").get(&key) {
+            return Arc::clone(hit);
         }
         let generated = Arc::new(self.generate(spec, duration_secs));
-        cache()
-            .lock()
-            .expect("trace cache lock")
-            .insert(key, generated)
+        let mut entries = cache().lock().expect("trace cache lock");
+        Arc::clone(entries.entry(key).or_insert(generated))
     }
 }
 
 /// Number of traces currently held by the process-wide cache.
 pub fn cached_trace_count() -> usize {
-    cache().lock().expect("trace cache lock").entries.len()
-}
-
-/// The cache's current capacity (maximum number of retained traces).
-pub fn trace_cache_capacity() -> usize {
-    cache().lock().expect("trace cache lock").capacity
-}
-
-/// Set the cache capacity. A capacity below the current size evicts
-/// least-recently-used entries immediately; values are clamped to at least 1.
-pub fn set_trace_cache_capacity(capacity: usize) {
-    let mut guard = cache().lock().expect("trace cache lock");
-    guard.capacity = capacity.max(1);
-    while guard.entries.len() > guard.capacity {
-        if let Some(victim) = guard
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
-        {
-            guard.entries.remove(&victim);
-        }
-    }
+    cache().lock().expect("trace cache lock").len()
 }
 
 /// Drop every cached trace (useful to bound memory in long-running sweeps).
 pub fn clear_trace_cache() {
-    cache().lock().expect("trace cache lock").entries.clear();
+    cache().lock().expect("trace cache lock").clear();
 }
 
 #[cfg(test)]
@@ -183,7 +97,6 @@ mod tests {
     fn identical_calls_share_one_generation() {
         let _serial = lock_for_test();
         clear_trace_cache();
-        set_trace_cache_capacity(DEFAULT_TRACE_CACHE_CAPACITY);
         let generator = TraceGenerator::new(77);
         let a = generator.generate_cached(&tiny_spec(), 600.0);
         let b = generator.generate_cached(&tiny_spec(), 600.0);
@@ -197,7 +110,6 @@ mod tests {
     #[test]
     fn cached_trace_matches_uncached_generation() {
         let _serial = lock_for_test();
-        set_trace_cache_capacity(DEFAULT_TRACE_CACHE_CAPACITY);
         let generator = TraceGenerator::new(78);
         let cached = generator.generate_cached(&tiny_spec(), 600.0);
         let fresh = generator.generate(&tiny_spec(), 600.0);
@@ -211,7 +123,6 @@ mod tests {
     fn distinct_keys_do_not_collide() {
         let _serial = lock_for_test();
         clear_trace_cache();
-        set_trace_cache_capacity(DEFAULT_TRACE_CACHE_CAPACITY);
         let generator = TraceGenerator::new(79);
         let base = generator.generate_cached(&tiny_spec(), 600.0);
         let other_seed = TraceGenerator::new(80).generate_cached(&tiny_spec(), 600.0);
@@ -223,47 +134,5 @@ mod tests {
         assert_eq!(cached_trace_count(), 4);
         clear_trace_cache();
         assert_eq!(cached_trace_count(), 0);
-    }
-
-    #[test]
-    fn capacity_bound_evicts_least_recently_used() {
-        let _serial = lock_for_test();
-        clear_trace_cache();
-        set_trace_cache_capacity(2);
-        let generator = TraceGenerator::new(90);
-        let a = generator.generate_cached(&ClusterSpec::balanced(210), 600.0);
-        let _b = generator.generate_cached(&ClusterSpec::balanced(211), 600.0);
-        // Touch `a` so `b` becomes the least recently used…
-        let a_again = generator.generate_cached(&ClusterSpec::balanced(210), 600.0);
-        assert!(Arc::ptr_eq(&a, &a_again));
-        // …then a third insert evicts `b`, not `a`.
-        let _c = generator.generate_cached(&ClusterSpec::balanced(212), 600.0);
-        assert_eq!(cached_trace_count(), 2);
-        let a_still = generator.generate_cached(&ClusterSpec::balanced(210), 600.0);
-        assert!(Arc::ptr_eq(&a, &a_still), "recently used entry survives");
-        // `b` was evicted: regenerating it yields a fresh allocation.
-        let b_again = generator.generate_cached(&ClusterSpec::balanced(211), 600.0);
-        assert!(!Arc::ptr_eq(&_b, &b_again), "LRU entry was evicted");
-        // The regenerated trace is identical — eviction never changes results.
-        assert_eq!(_b.jobs(), b_again.jobs());
-        set_trace_cache_capacity(DEFAULT_TRACE_CACHE_CAPACITY);
-        clear_trace_cache();
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately() {
-        let _serial = lock_for_test();
-        clear_trace_cache();
-        set_trace_cache_capacity(DEFAULT_TRACE_CACHE_CAPACITY);
-        let generator = TraceGenerator::new(91);
-        for id in 220..224 {
-            let _ = generator.generate_cached(&ClusterSpec::balanced(id), 600.0);
-        }
-        assert_eq!(cached_trace_count(), 4);
-        set_trace_cache_capacity(1);
-        assert_eq!(cached_trace_count(), 1);
-        assert_eq!(trace_cache_capacity(), 1);
-        set_trace_cache_capacity(DEFAULT_TRACE_CACHE_CAPACITY);
-        clear_trace_cache();
     }
 }

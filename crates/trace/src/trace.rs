@@ -59,11 +59,12 @@ impl Trace {
     /// retained for its full lifetime. This is the "peak theoretical SSD
     /// usage limit" against which the paper expresses SSD quotas.
     pub fn peak_space_usage(&self) -> u64 {
-        // Sweep over arrival/end events.
-        let mut events: Vec<(f64, i64)> = Vec::with_capacity(self.jobs.len() * 2);
+        // Sweep over arrival/end events. `i128` holds any `u64` size and any
+        // sum of them, so neither the cast nor the running total can wrap.
+        let mut events: Vec<(f64, i128)> = Vec::with_capacity(self.jobs.len() * 2);
         for j in &self.jobs {
-            events.push((j.arrival, j.size_bytes as i64));
-            events.push((j.end(), -(j.size_bytes as i64)));
+            events.push((j.arrival, i128::from(j.size_bytes)));
+            events.push((j.end(), -i128::from(j.size_bytes)));
         }
         events.sort_by(|a, b| {
             a.0.total_cmp(&b.0)
@@ -71,13 +72,13 @@ impl Trace {
                 // instantaneous swaps do not double count.
                 .then(a.1.cmp(&b.1))
         });
-        let mut current: i64 = 0;
-        let mut peak: i64 = 0;
+        let mut current: i128 = 0;
+        let mut peak: i128 = 0;
         for (_, delta) in events {
             current += delta;
             peak = peak.max(current);
         }
-        peak.max(0) as u64
+        peak.min(i128::from(u64::MAX)) as u64
     }
 
     /// Total bytes across all jobs' peak footprints (not deduplicated in time).
@@ -145,16 +146,33 @@ impl Trace {
     /// Read a trace from JSON lines produced by [`Trace::write_jsonl`].
     ///
     /// # Errors
-    /// Returns any I/O or deserialization error.
+    /// Returns any I/O or deserialization error, and
+    /// [`std::io::ErrorKind::InvalidData`] naming the line for a job whose
+    /// arrival or lifetime is negative or non-finite, or whose end overflows.
     pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<Trace> {
+        let invalid = |lineno: usize, msg: String| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("line {lineno}: {msg}"),
+            )
+        };
         let mut jobs = Vec::new();
-        for line in r.lines() {
+        for (idx, line) in r.lines().enumerate() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let job: ShuffleJob = serde_json::from_str(&line)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            let job: ShuffleJob =
+                serde_json::from_str(&line).map_err(|e| invalid(idx + 1, e.to_string()))?;
+            if !(job.arrival >= 0.0 && job.lifetime >= 0.0 && job.end().is_finite()) {
+                return Err(invalid(
+                    idx + 1,
+                    format!(
+                        "job {} needs a finite, non-negative arrival and lifetime, got {} and {}",
+                        job.id, job.arrival, job.lifetime
+                    ),
+                ));
+            }
             jobs.push(job);
         }
         Ok(Trace::new(jobs))
@@ -236,6 +254,19 @@ mod tests {
         ]);
         assert_eq!(t.peak_space_usage(), 300);
         assert_eq!(t.total_bytes(), 350);
+    }
+
+    #[test]
+    fn peak_space_usage_does_not_wrap_on_huge_sizes() {
+        // A size of 2^63 used to wrap to a negative delta.
+        let t = Trace::new(vec![job(0, 0.0, 10.0, 1 << 63)]);
+        assert_eq!(t.peak_space_usage(), 1 << 63);
+        // Two overlapping 2^62-byte jobs used to overflow the running sum.
+        let t = Trace::new(vec![job(0, 0.0, 10.0, 1 << 62), job(1, 5.0, 10.0, 1 << 62)]);
+        assert_eq!(t.peak_space_usage(), 1 << 63);
+        // Past u64::MAX the peak saturates.
+        let t = Trace::new(vec![job(0, 0.0, 10.0, u64::MAX), job(1, 5.0, 10.0, 1)]);
+        assert_eq!(t.peak_space_usage(), u64::MAX);
     }
 
     #[test]
@@ -323,6 +354,36 @@ mod tests {
             .is_empty());
         let bad = "not json\n";
         assert!(Trace::read_jsonl(std::io::Cursor::new(bad)).is_err());
+    }
+
+    #[test]
+    fn read_jsonl_rejects_negative_or_non_finite_times() {
+        // 1234.5 and 678.25 mark the arrival and lifetime in the JSON text.
+        let valid = serde_json::to_string(&job(0, 1234.5, 678.25, 1)).unwrap();
+        let two_lines = |second: String| format!("{valid}\n{second}\n");
+        assert_eq!(
+            Trace::read_jsonl(std::io::Cursor::new(two_lines(valid.clone())))
+                .unwrap()
+                .len(),
+            2
+        );
+        for (arrival, lifetime) in [
+            ("1e999", "678.25"),
+            ("-1234.5", "678.25"),
+            ("1234.5", "1e999"),
+            ("1234.5", "-678.25"),
+            // Both finite, but the end overflows to infinity.
+            ("1.7e308", "1.7e308"),
+        ] {
+            let bad = valid.replace("1234.5", arrival).replace("678.25", lifetime);
+            let err = Trace::read_jsonl(std::io::Cursor::new(two_lines(bad))).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{arrival}, {lifetime}"
+            );
+            assert!(err.to_string().starts_with("line 2:"), "{err}");
+        }
     }
 
     #[test]
